@@ -24,7 +24,6 @@ import (
 	"tlrchol/internal/obs"
 	"tlrchol/internal/ranks"
 	"tlrchol/internal/rbf"
-	"tlrchol/internal/runtime"
 	"tlrchol/internal/sim"
 	"tlrchol/internal/tilemat"
 	"tlrchol/internal/tlr"
@@ -210,12 +209,11 @@ func main() {
 		if *trim {
 			fs = append(fs, sverify.CheckTrim(s, core.Ranks(m))...)
 		}
-		var g *runtime.Graph
+		form := tilemat.FormCholesky
 		if ldlt {
-			g = core.BuildGraphLDLt(m, s, core.Options{Tol: *tol})
-		} else {
-			g = core.BuildGraph(m, s, core.Options{Tol: *tol, NestedDiag: *nested})
+			form = tilemat.FormLDLt
 		}
+		g := core.BuildGraph(m, form, s, core.Options{Tol: *tol, NestedDiag: *nested})
 		fs = append(fs, sverify.CheckGraph(g)...)
 		for _, f := range fs {
 			fmt.Fprintf(os.Stderr, "static check: %v\n", f)

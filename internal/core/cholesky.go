@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"time"
 
-	"tlrchol/internal/dense"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/runtime"
 	"tlrchol/internal/tilemat"
@@ -132,8 +131,41 @@ func Structure(m *tilemat.Matrix, trimOn bool) trim.Structure {
 // their Cholesky factors; off-diagonal tiles the solved panels). The
 // matrix must be SPD at the compression accuracy.
 func Factorize(m *tilemat.Matrix, opts Options) (Report, error) {
+	return factorize(m, tilemat.FormCholesky, opts)
+}
+
+// FactorizeLDLt computes the TLR LDLᵀ factorization A = L·D·Lᵀ in
+// place, the Bunch–Kaufman-free signed variant for symmetric indefinite
+// operators: on return each diagonal tile packs its unit-lower L in the
+// strict lower triangle and its block of the diagonal matrix D on the
+// diagonal (dense.Ldlt layout), off-diagonal tiles hold the solved
+// panels, and m.Form is FormLDLt so the solve paths dispatch to the
+// forward-L / D-scale / backward-Lᵀ substitution.
+//
+// No pivoting is performed, so the factorization exists iff every
+// leading principal minor is nonzero. That covers the workload this
+// opens up — quasi-definite augmented RBF systems [K P; Pᵀ 0] with the
+// definite block ordered first — as well as everything Cholesky
+// handles (on an SPD operator D comes out positive and L·√D is the
+// Cholesky factor). The task shapes, the DAG (and its trimming — the
+// analysis is rank-structural, identical for both factorizations), the
+// priorities and the hazard declarations all match Factorize; only the
+// kernels differ by the diagonal weight. Report.Potrf counts diagonal
+// factorizations of either kind; the task-class split lives in the
+// metrics registry (tasks.sytrf, …).
+func FactorizeLDLt(m *tilemat.Matrix, opts Options) (Report, error) {
+	return factorize(m, tilemat.FormLDLt, opts)
+}
+
+// factorize is the driver behind Factorize and FactorizeLDLt: on
+// success m holds the factor of the given form.
+func factorize(m *tilemat.Matrix, form tilemat.Form, opts Options) (Report, error) {
 	if opts.Tol <= 0 {
 		return Report{}, fmt.Errorf("core: Options.Tol must be positive, got %g", opts.Tol)
+	}
+	f := &forms[form]
+	if opts.NestedDiag > 0 && !f.nestable {
+		return Report{}, fmt.Errorf("core: NestedDiag is not supported with %s diagonal tasks", f.diagName)
 	}
 	var rep Report
 	var structure trim.Structure
@@ -151,9 +183,7 @@ func Factorize(m *tilemat.Matrix, opts Options) (Report, error) {
 	} else {
 		structure = trim.Full{Nt: m.NT}
 	}
-	rep.Potrf, rep.Trsm, rep.Syrk, rep.Gemm = trim.TaskCounts(structure)
-	fp, ft, fs, fg := trim.TaskCounts(trim.Full{Nt: m.NT})
-	rep.TasksTrimmed = (fp + ft + fs + fg) - (rep.Potrf + rep.Trsm + rep.Syrk + rep.Gemm)
+	rep.Potrf, rep.Trsm, rep.Syrk, rep.Gemm, rep.TasksTrimmed = taskCounts(structure)
 
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default
@@ -166,15 +196,20 @@ func Factorize(m *tilemat.Matrix, opts Options) (Report, error) {
 	runStart := rt.Now()
 	var err error
 	if opts.Sequential {
-		err = factorizeSequential(m, structure, opts, in)
+		err = factorizeSequential(m, f, structure, opts, in)
 		rep.TasksExecuted = rep.Potrf + rep.Trsm + rep.Syrk + rep.Gemm
 	} else {
-		var nodes []obs.PathNode
-		rep.Runtime, rep.Trace, nodes, err = factorizeParallel(m, structure, opts)
+		g := BuildGraph(m, form, structure, opts)
+		rep.Runtime, err = g.Run(opts.Workers)
 		rep.TasksExecuted = rep.Runtime.Executed
-		if len(nodes) > 0 {
-			pr := obs.CriticalPath(nodes)
-			rep.CritPath = &pr
+		if opts.CollectTrace {
+			rep.Trace = g.Trace()
+		}
+		if opts.CritPath {
+			if nodes := g.PathNodes(); len(nodes) > 0 {
+				pr := obs.CriticalPath(nodes)
+				rep.CritPath = &pr
+			}
 		}
 	}
 	rep.Elapsed = time.Since(start)
@@ -184,205 +219,102 @@ func Factorize(m *tilemat.Matrix, opts Options) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
+	m.Form = form
 	rep.FinalDensity = m.Stats().Density
 	return rep, nil
 }
 
-// factorizeSequential is the loop-order reference implementation. It
-// records into the same instrumentation as the parallel path, on
-// shard 0.
-func factorizeSequential(m *tilemat.Matrix, s trim.Structure, opts Options, in *instr) error {
-	nt := m.NT
+// taskCounts tallies the task instances of s per class, and how many
+// instances of the full DAG trimming removed.
+func taskCounts(s trim.Structure) (potrf, trsm, syrk, gemm, trimmed int) {
+	potrf, trsm, syrk, gemm = trim.TaskCounts(s)
+	fp, ft, fs, fg := trim.TaskCounts(trim.Full{Nt: s.NT()})
+	return potrf, trsm, syrk, gemm, (fp + ft + fs + fg) - (potrf + trsm + syrk + gemm)
+}
+
+// factorizeSequential is the loop-order reference implementation, for
+// either form. It records into the same instrumentation as the parallel
+// path, on shard 0, and reports a failing task the way the runtime
+// does.
+func factorizeSequential(m *tilemat.Matrix, f *factorForm, s trim.Structure, opts Options, in *instr) error {
+	ts := sharedTiles{m}
 	cfg := tlr.GemmConfig{Tol: opts.Tol, MaxRank: opts.MaxRank}
-	for k := 0; k < nt; k++ {
-		if opts.Context != nil {
-			if err := opts.Context.Err(); err != nil {
-				return err
-			}
+	var err error
+	run := func(c trim.Class, k, mi, ni int) {
+		t := trim.Task{Class: c, K: k, M: mi, N: ni}
+		if e := f.exec(ts, t, cfg, in, 0, nil); e != nil && err == nil {
+			err = fmt.Errorf("task %s: %w", f.label(t), e)
 		}
-		if err := dense.Potrf(m.At(k, k).D); err != nil {
-			return fmt.Errorf("core: POTRF(%d): %w", k, err)
+	}
+	for k := 0; k < m.NT && err == nil; k++ {
+		if opts.Context != nil && opts.Context.Err() != nil {
+			return opts.Context.Err()
 		}
-		in.potrf(0, m.At(k, k).D.Rows, nil)
-		l := m.At(k, k).D
+		run(trim.Diag, k, k, k)
+		if err != nil {
+			break
+		}
 		nb := s.NbTrsm(k)
 		for i := 0; i < nb; i++ {
-			t := m.At(s.TrsmAt(k, i), k)
-			tlr.Trsm(l, t)
-			in.trsm(0, t, nil)
+			run(trim.Trsm, k, s.TrsmAt(k, i), k)
 		}
 		for i := 0; i < nb; i++ {
 			mi := s.TrsmAt(k, i)
-			tlr.Syrk(m.At(mi, k), m.At(mi, mi).D)
-			in.syrk(0, m.At(mi, k), nil)
+			run(trim.Syrk, k, mi, mi)
 			for j := 0; j < i; j++ {
-				ni := s.TrsmAt(k, j)
-				ka, kb, kc := m.At(mi, k).Rank(), m.At(ni, k).Rank(), m.At(mi, ni).Rank()
-				out := tlr.Gemm(m.At(mi, k), m.At(ni, k), m.At(mi, ni), cfg)
-				m.Set(mi, ni, out)
-				in.gemm(0, ka, kb, kc, out, nil)
+				run(trim.Gemm, k, mi, s.TrsmAt(k, j))
 			}
 		}
 	}
-	return nil
+	return err
 }
 
-// factorizeParallel unrolls the (possibly trimmed) DAG into the task
-// runtime: POTRF/TRSM/SYRK/GEMM task instances with the dependency
-// pattern of the tile Cholesky, serialized per written tile, and
-// critical-path-first priorities.
-func factorizeParallel(m *tilemat.Matrix, s trim.Structure, opts Options) (runtime.Stats, []runtime.TaskRecord, []obs.PathNode, error) {
-	g := BuildGraph(m, s, opts)
-	st, err := g.Run(opts.Workers)
-	var recs []runtime.TaskRecord
-	if opts.CollectTrace {
-		recs = g.Trace()
-	}
-	var nodes []obs.PathNode
-	if opts.CritPath {
-		nodes = g.PathNodes()
-	}
-	return st, recs, nodes, err
-}
-
-// BuildGraph unrolls the factorization task graph without running it.
-// Besides wiring the edges by hand (the fast path Factorize uses), it
-// declares each task's tile accesses, so the static verifier (package
-// verify) can independently replay the access stream and prove the
-// hand-built edges cover every RAW/WAR/WAW hazard.
-func BuildGraph(m *tilemat.Matrix, s trim.Structure, opts Options) *runtime.Graph {
-	nt := m.NT
+// BuildGraph unrolls the task graph of the given factorization form
+// without running it. Besides wiring the edges (the fast path the
+// factorization drivers use), it declares each task's tile accesses, so
+// the static verifier (package verify) can independently replay the
+// access stream and prove the walk's edges cover every RAW/WAR/WAW
+// hazard.
+func BuildGraph(m *tilemat.Matrix, form tilemat.Form, s trim.Structure, opts Options) *runtime.Graph {
+	f := &forms[form]
 	g := runtime.NewGraph()
 	g.Observe(opts.Tracer)
 	traced := opts.Tracer != nil
-	// ctxErr is the cooperative-cancellation check every task runs
-	// first: a cancelled context fails the task, and the runtime's
-	// abort protocol drains the rest of the DAG without starting it.
-	ctxErr := func() error {
-		if opts.Context == nil {
-			return nil
-		}
-		return opts.Context.Err()
-	}
 	in := newInstr(opts.Metrics)
 	cfg := tlr.GemmConfig{Tol: opts.Tol, MaxRank: opts.MaxRank}
-
-	// lastWriter[tile] tracks the chain tail for tiles that receive
-	// multiple serialized writes (GEMM chains, SYRK chains).
-	type tileKey struct{ m, n int }
-	lastWriter := make(map[tileKey]*runtime.Task)
-	potrfT := make([]*runtime.Task, nt)
-	trsmT := make(map[tileKey]*runtime.Task)
-
-	// Priorities: drive the critical path (POTRF(k) → TRSM(k,k+1) →
-	// SYRK(k+1,k) → POTRF(k+1)) ahead of trailing updates.
-	base := int64(nt+2) << 22
-	potrfPrio := func(k int) int64 { return base - int64(k)<<22 }
-	trsmPrio := func(k, mm int) int64 { return base - int64(k)<<22 - int64(mm-k)<<8 - 1 }
-	syrkPrio := func(k, mm int) int64 { return base - int64(k)<<22 - int64(mm-k)<<8 - 2 }
-	gemmPrio := func(k, mm, nn int) int64 {
-		return base - int64(k)<<22 - int64(mm-nn)<<8 - 3
-	}
-
-	for k := 0; k < nt; k++ {
-		k := k
-		var pt *runtime.Task
-		if opts.NestedDiag > 0 && m.TileRows(k) >= 2*opts.NestedDiag {
-			pt = addNestedPotrf(g, m.At(k, k).D, opts.NestedDiag,
-				lastWriter[tileKey{k, k}], potrfPrio(k), fmt.Sprintf("potrf(%d)", k))
-			// The sub-tasks carry their own spans; the tile-level flop
-			// accounting is recorded here, statically — a dense POTRF's
-			// cost does not depend on runtime state.
-			in.potrf(0, m.TileRows(k), nil)
+	ts := sharedTiles{m}
+	newTask := func(t trim.Task, prev *runtime.Task, hasPrev bool) *runtime.Task {
+		var task *runtime.Task
+		if t.Class == trim.Diag && f.nestable && opts.NestedDiag > 0 && m.TileRows(t.K) >= 2*opts.NestedDiag {
+			// prev is nil without a previous writer. The sub-tasks carry
+			// their own spans; the tile-level flop accounting is recorded
+			// here, statically — a dense POTRF's cost does not depend on
+			// runtime state.
+			task = addNestedPotrf(g, m.At(t.K, t.K).D, opts.NestedDiag, prev, t.Prio, f.label(t))
+			in.diag(f.class[trim.Diag], 0, m.TileRows(t.K), nil)
 		} else {
-			pt = g.NewTask(fmt.Sprintf("potrf(%d)", k), potrfPrio(k), nil)
-			pt.Info = spanInfo(traced, k, k, k)
-			ptc := pt
-			pt.Run = func() error {
-				if err := ctxErr(); err != nil {
-					return err
-				}
-				if err := dense.Potrf(m.At(k, k).D); err != nil {
-					return err
-				}
-				in.potrf(ptc.Worker(), m.At(k, k).D.Rows, ptc.Info)
-				return nil
-			}
-			if lw := lastWriter[tileKey{k, k}]; lw != nil {
-				g.AddDep(lw, pt)
-			}
-		}
-		// The (nested or plain) POTRF stands in as the writer of the
-		// diagonal tile for hazard-replay purposes.
-		pt.DeclareAccesses(runtime.W(tileKey{k, k}))
-		potrfT[k] = pt
-		lastWriter[tileKey{k, k}] = pt
-
-		nb := s.NbTrsm(k)
-		for i := 0; i < nb; i++ {
-			mi := s.TrsmAt(k, i)
-			tt := g.NewTask(fmt.Sprintf("trsm(%d,%d)", k, mi), trsmPrio(k, mi), nil)
-			tt.Info = spanInfo(traced, k, mi, k)
-			ttc := tt
-			tt.Run = func() error {
-				if err := ctxErr(); err != nil {
-					return err
-				}
-				tlr.Trsm(m.At(k, k).D, m.At(mi, k))
-				in.trsm(ttc.Worker(), m.At(mi, k), ttc.Info)
-				return nil
-			}
-			tt.DeclareAccesses(runtime.R(tileKey{k, k}), runtime.W(tileKey{mi, k}))
-			g.AddDep(pt, tt)
-			if lw := lastWriter[tileKey{mi, k}]; lw != nil {
-				g.AddDep(lw, tt)
-			}
-			lastWriter[tileKey{mi, k}] = tt
-			trsmT[tileKey{mi, k}] = tt
-
-			st := g.NewTask(fmt.Sprintf("syrk(%d,%d)", k, mi), syrkPrio(k, mi), nil)
-			st.Info = spanInfo(traced, k, mi, mi)
-			stc := st
-			st.Run = func() error {
-				if err := ctxErr(); err != nil {
-					return err
-				}
-				tlr.Syrk(m.At(mi, k), m.At(mi, mi).D)
-				in.syrk(stc.Worker(), m.At(mi, k), stc.Info)
-				return nil
-			}
-			st.DeclareAccesses(runtime.R(tileKey{mi, k}), runtime.W(tileKey{mi, mi}))
-			g.AddDep(tt, st)
-			if lw := lastWriter[tileKey{mi, mi}]; lw != nil {
-				g.AddDep(lw, st)
-			}
-			lastWriter[tileKey{mi, mi}] = st
-
-			for j := 0; j < i; j++ {
-				ni := s.TrsmAt(k, j)
-				gt := g.NewTask(fmt.Sprintf("gemm(%d,%d,%d)", k, mi, ni), gemmPrio(k, mi, ni), nil)
-				gt.Info = spanInfo(traced, k, mi, ni)
-				gtc := gt
-				gt.Run = func() error {
-					if err := ctxErr(); err != nil {
+			task = g.NewTask(f.label(t), t.Prio, nil)
+			task.Info = spanInfo(traced, t.K, t.M, t.N)
+			task.Run = func() error {
+				// A cancelled context fails the task, and the runtime's
+				// abort protocol drains the rest of the DAG without
+				// starting it.
+				if opts.Context != nil {
+					if err := opts.Context.Err(); err != nil {
 						return err
 					}
-					ka, kb, kc := m.At(mi, k).Rank(), m.At(ni, k).Rank(), m.At(mi, ni).Rank()
-					out := tlr.Gemm(m.At(mi, k), m.At(ni, k), m.At(mi, ni), cfg)
-					m.Set(mi, ni, out)
-					in.gemm(gtc.Worker(), ka, kb, kc, out, gtc.Info)
-					return nil
 				}
-				gt.DeclareAccesses(runtime.R(tileKey{mi, k}), runtime.R(tileKey{ni, k}),
-					runtime.W(tileKey{mi, ni}))
-				g.AddDep(tt, gt)
-				g.AddDep(trsmT[tileKey{ni, k}], gt)
-				if lw := lastWriter[tileKey{mi, ni}]; lw != nil {
-					g.AddDep(lw, gt)
-				}
-				lastWriter[tileKey{mi, ni}] = gt
+				return f.exec(ts, t, cfg, in, task.Worker(), task.Info)
+			}
+			if hasPrev {
+				g.AddDep(prev, task)
 			}
 		}
+		// A nested POTRF's join stands in as the writer of the diagonal
+		// tile for hazard replay.
+		task.DeclareAccesses(f.accesses(t)...)
+		return task
 	}
+	trim.Walk(s, newTask, g.AddDep)
 	return g
 }

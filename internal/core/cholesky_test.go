@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"maps"
 	"strings"
 	"testing"
 
 	"math/rand"
 	"tlrchol/internal/dense"
+	"tlrchol/internal/dist"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/rbf"
 	"tlrchol/internal/tilemat"
@@ -60,19 +62,45 @@ func TestFactorizeRBFAccuracy(t *testing.T) {
 	}
 }
 
+// factorizers maps each factor form to its driver and a test operator:
+// the SPD RBF matrix for Cholesky, the indefinite augmented system for
+// LDLᵀ (n=636 gives dimension 640).
+var factorizers = map[string]struct {
+	factorize func(*tilemat.Matrix, Options) (Report, error)
+	operator  func(t *testing.T, n, b int, tol float64) (*tilemat.Matrix, *dense.Matrix)
+}{
+	"chol": {Factorize, func(t *testing.T, n, b int, tol float64) (*tilemat.Matrix, *dense.Matrix) {
+		return rbfMatrix(t, n, b, 2, tol)
+	}},
+	"ldlt": {FactorizeLDLt, func(t *testing.T, n, b int, tol float64) (*tilemat.Matrix, *dense.Matrix) {
+		return augMatrix(t, n-4, b, tol)
+	}},
+}
+
+// TestParallelMatchesSequential: for both factor forms, trimmed or
+// not, the runtime's schedule must reproduce the loop-order reference
+// tile for tile, bit for bit — every tile's write chain runs in the
+// same order and the kernels are deterministic.
 func TestParallelMatchesSequential(t *testing.T) {
-	mSeq, a := rbfMatrix(t, 384, 64, 4, 1e-8)
-	mPar := mSeq.Clone()
-	if _, err := Factorize(mSeq, Options{Tol: 1e-8, Sequential: true}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Factorize(mPar, Options{Tol: 1e-8, Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	// Both factor the same operator to the same accuracy.
-	eSeq, ePar := FactorError(mSeq, a), FactorError(mPar, a)
-	if ePar > 10*eSeq+1e-6 {
-		t.Fatalf("parallel error %g much worse than sequential %g", ePar, eSeq)
+	const tol = 1e-6
+	for name, fz := range factorizers {
+		base, _ := fz.operator(t, 640, 80, tol)
+		for _, trimOn := range []bool{true, false} {
+			mSeq, mPar := base.Clone(), base.Clone()
+			if _, err := fz.factorize(mSeq, Options{Tol: tol, Trim: trimOn, Sequential: true}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fz.factorize(mPar, Options{Tol: tol, Trim: trimOn, Workers: 4}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < base.NT; i++ {
+				for j := 0; j <= i; j++ {
+					if !tilesIdentical(mSeq.At(i, j), mPar.At(i, j)) {
+						t.Fatalf("%s trim=%v: tile (%d,%d) differs between sequential and parallel", name, trimOn, i, j)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -132,6 +160,66 @@ func TestFactorizeRejectsNonSPD(t *testing.T) {
 	m2 := tilemat.New(64, 32)
 	if _, err := Factorize(m2, Options{Tol: 1e-8, Workers: 2}); err == nil {
 		t.Fatalf("expected POTRF failure on parallel path")
+	}
+}
+
+// TestBreakdownErrorShape: a diagonal breakdown surfaces the same way
+// on every execution path — the dense kernel's error stays matchable
+// and the message names the failing task by its graph label.
+func TestBreakdownErrorShape(t *testing.T) {
+	const tol = 1e-7
+	for _, tc := range []struct {
+		form  string
+		label string
+		// breaks makes the operator fail at the diagonal task label.
+		breaks func(m *tilemat.Matrix)
+		is     func(error) bool
+	}{
+		{
+			form: "chol", label: "task potrf(2)",
+			breaks: func(m *tilemat.Matrix) {
+				d := m.At(2, 2).D
+				for i := 0; i < d.Rows; i++ {
+					d.Data[i*d.Stride+i] = -1
+				}
+			},
+			is: func(err error) bool { return errors.Is(err, dense.ErrNotPositiveDefinite) },
+		},
+		{
+			form: "ldlt", label: "task sytrf(0)",
+			breaks: func(m *tilemat.Matrix) { m.At(0, 0).D.Zero() },
+			is: func(err error) bool {
+				var sp dense.ErrSingularPivot
+				return errors.As(err, &sp)
+			},
+		},
+	} {
+		fz := factorizers[tc.form]
+		base, _ := fz.operator(t, 128, 32, tol)
+		tc.breaks(base)
+		paths := map[string]func(m *tilemat.Matrix) error{
+			"sequential": func(m *tilemat.Matrix) error {
+				_, err := fz.factorize(m, Options{Tol: tol, Trim: true, Sequential: true})
+				return err
+			},
+			"parallel": func(m *tilemat.Matrix) error {
+				_, err := fz.factorize(m, Options{Tol: tol, Trim: true, Workers: 2})
+				return err
+			},
+		}
+		if tc.form == "chol" {
+			paths["distributed"] = func(m *tilemat.Matrix) error {
+				_, err := FactorizeDistributed(m, DistOptions{Tol: tol, Trim: true, Nodes: 2,
+					Remap: dist.Remap{Data: dist.TwoDBC{P: 2, Q: 1}}})
+				return err
+			}
+		}
+		for path, run := range paths {
+			err := run(base.Clone())
+			if err == nil || !tc.is(err) || !strings.Contains(err.Error(), tc.label) {
+				t.Errorf("%s %s: want a %s breakdown, got %v", tc.form, path, tc.label, err)
+			}
+		}
 	}
 }
 
@@ -268,51 +356,49 @@ func TestDenseBaselineFactorization(t *testing.T) {
 
 // TestInstrumentationSequentialMatchesParallel: the sequential and
 // parallel paths record identical task counters and identical
-// dense-equivalent flops into their registries, and the effective flops
-// land in the same ballpark (ranks evolve slightly differently under
-// different execution orders).
+// effective and dense-equivalent flops into their registries, for both
+// factor forms.
 func TestInstrumentationSequentialMatchesParallel(t *testing.T) {
 	const tol = 1e-6
-	m1, _ := rbfMatrix(t, 640, 80, 2, tol)
-	m2 := m1.Clone()
-	r1, err := Factorize(m1, Options{Tol: tol, Trim: true, Sequential: true,
-		Metrics: obs.NewRegistry(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Factorize(m2, Options{Tol: tol, Trim: true, Workers: 2,
-		Metrics: obs.NewRegistry(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.DenseFlops != r2.DenseFlops {
-		t.Fatalf("dense-equivalent flops diverge: %g vs %g", r1.DenseFlops, r2.DenseFlops)
-	}
-	if r1.EffFlops <= 0 || r2.EffFlops <= 0 {
-		t.Fatalf("effective flops not recorded: %g, %g", r1.EffFlops, r2.EffFlops)
-	}
-	if ratio := r1.EffFlops / r2.EffFlops; ratio < 0.5 || ratio > 2 {
-		t.Fatalf("effective flops diverge: %g vs %g", r1.EffFlops, r2.EffFlops)
-	}
-	c1, c2 := map[string]uint64{}, map[string]uint64{}
-	for _, c := range r1.Metrics.Snapshot().Counters {
-		if strings.HasPrefix(c.Name, "tasks.") {
-			c1[c.Name] = c.Value
+	for name, fz := range factorizers {
+		m1, _ := fz.operator(t, 640, 80, tol)
+		m2 := m1.Clone()
+		r1, err := fz.factorize(m1, Options{Tol: tol, Trim: true, Sequential: true,
+			Metrics: obs.NewRegistry(1)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, c := range r2.Metrics.Snapshot().Counters {
-		if strings.HasPrefix(c.Name, "tasks.") {
-			c2[c.Name] = c.Value
+		r2, err := fz.factorize(m2, Options{Tol: tol, Trim: true, Workers: 2,
+			Metrics: obs.NewRegistry(2)})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(c1) != nClass || !maps.Equal(c1, c2) {
-		t.Fatalf("task counters diverge: %v vs %v", c1, c2)
-	}
-	if r1.TasksExecuted != r2.TasksExecuted {
-		t.Fatalf("executed counts diverge: %d vs %d", r1.TasksExecuted, r2.TasksExecuted)
-	}
-	if r1.TasksTrimmed != r2.TasksTrimmed || r1.TasksTrimmed <= 0 {
-		t.Fatalf("trimmed counts wrong: %d vs %d", r1.TasksTrimmed, r2.TasksTrimmed)
+		if r1.DenseFlops != r2.DenseFlops {
+			t.Fatalf("%s: dense-equivalent flops diverge: %g vs %g", name, r1.DenseFlops, r2.DenseFlops)
+		}
+		if r1.EffFlops <= 0 || r1.EffFlops != r2.EffFlops {
+			t.Fatalf("%s: effective flops diverge: %g vs %g", name, r1.EffFlops, r2.EffFlops)
+		}
+		c1, c2 := map[string]uint64{}, map[string]uint64{}
+		for _, c := range r1.Metrics.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "tasks.") {
+				c1[c.Name] = c.Value
+			}
+		}
+		for _, c := range r2.Metrics.Snapshot().Counters {
+			if strings.HasPrefix(c.Name, "tasks.") {
+				c2[c.Name] = c.Value
+			}
+		}
+		if len(c1) != nClass || !maps.Equal(c1, c2) {
+			t.Fatalf("%s: task counters diverge: %v vs %v", name, c1, c2)
+		}
+		if r1.TasksExecuted != r2.TasksExecuted {
+			t.Fatalf("%s: executed counts diverge: %d vs %d", name, r1.TasksExecuted, r2.TasksExecuted)
+		}
+		if r1.TasksTrimmed != r2.TasksTrimmed || r1.TasksTrimmed <= 0 {
+			t.Fatalf("%s: trimmed counts wrong: %d vs %d", name, r1.TasksTrimmed, r2.TasksTrimmed)
+		}
 	}
 }
 
@@ -321,13 +407,13 @@ func TestInstrumentationSequentialMatchesParallel(t *testing.T) {
 func TestUntracedTasksCarryNoInfo(t *testing.T) {
 	const tol = 1e-6
 	m, _ := rbfMatrix(t, 512, 64, 2, tol)
-	g := BuildGraph(m, Structure(m, true), Options{Tol: tol})
+	g := BuildGraph(m, tilemat.FormCholesky, Structure(m, true), Options{Tol: tol})
 	for i := 0; i < g.Tasks(); i++ {
 		if g.Task(i).Info != nil {
 			t.Fatalf("task %d carries Info without a tracer", i)
 		}
 	}
-	g2 := BuildGraph(m, Structure(m, true), Options{Tol: tol, Tracer: obs.NewTracer()})
+	g2 := BuildGraph(m, tilemat.FormCholesky, Structure(m, true), Options{Tol: tol, Tracer: obs.NewTracer()})
 	withInfo := 0
 	for i := 0; i < g2.Tasks(); i++ {
 		if g2.Task(i).Info != nil {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"tlrchol/internal/cluster"
-	"tlrchol/internal/dense"
 	"tlrchol/internal/dist"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/tilemat"
@@ -77,16 +76,14 @@ func FactorizeDistributed(m *tilemat.Matrix, opts DistOptions) (DistReport, erro
 	} else {
 		structure = trim.Full{Nt: m.NT}
 	}
-	rep.Potrf, rep.Trsm, rep.Syrk, rep.Gemm = trim.TaskCounts(structure)
-	fp, ft, fs, fg := trim.TaskCounts(trim.Full{Nt: m.NT})
-	rep.TasksTrimmed = (fp + ft + fs + fg) - (rep.Potrf + rep.Trsm + rep.Syrk + rep.Gemm)
+	rep.Potrf, rep.Trsm, rep.Syrk, rep.Gemm, rep.TasksTrimmed = taskCounts(structure)
 	if opts.Metrics == nil {
 		opts.Metrics = obs.Default
 	}
 	in := newInstr(opts.Metrics)
 	effBefore, dnsBefore := in.flopTotals()
 
-	g := buildDistGraph(m, structure, opts, in)
+	g := buildDistGraph(structure, opts, in)
 	seed := make(map[cluster.TileID]*tlr.Tile, m.NT*(m.NT+1)/2)
 	for i := 0; i < m.NT; i++ {
 		for j := 0; j <= i; j++ {
@@ -113,103 +110,27 @@ func FactorizeDistributed(m *tilemat.Matrix, opts DistOptions) (DistReport, erro
 	return rep, nil
 }
 
-// buildDistGraph unrolls the factorization DAG for the cluster engine.
-// It mirrors BuildGraph exactly — same task set, same edges, same
-// priorities, and crucially the same per-tile write-chain order — so
-// the distributed execution reproduces the shared-memory values
-// bit for bit. Task bodies read and write through the executing node's
-// private store (Ctx) instead of the shared tilemat.
-func buildDistGraph(m *tilemat.Matrix, s trim.Structure, opts DistOptions, in *instr) *cluster.Graph {
-	nt := m.NT
+// buildDistGraph unrolls the Cholesky DAG for the cluster engine from
+// the same walk as BuildGraph — same task set, edges, priorities and,
+// crucially, per-tile write-chain order — so the distributed execution
+// reproduces the shared-memory values bit for bit. Task bodies read and
+// write through the executing node's private store (Ctx) instead of the
+// shared tilemat.
+func buildDistGraph(s trim.Structure, opts DistOptions, in *instr) *cluster.Graph {
+	f := &forms[tilemat.FormCholesky]
 	g := cluster.NewGraph()
 	traced := opts.Tracer != nil
 	cfg := tlr.GemmConfig{Tol: opts.Tol, MaxRank: opts.MaxRank}
-
-	type tileKey struct{ m, n int }
-	lastWriter := make(map[tileKey]*cluster.Task)
-	trsmT := make(map[tileKey]*cluster.Task)
-
-	base := int64(nt+2) << 22
-	potrfPrio := func(k int) int64 { return base - int64(k)<<22 }
-	trsmPrio := func(k, mm int) int64 { return base - int64(k)<<22 - int64(mm-k)<<8 - 1 }
-	syrkPrio := func(k, mm int) int64 { return base - int64(k)<<22 - int64(mm-k)<<8 - 2 }
-	gemmPrio := func(k, mm, nn int) int64 {
-		return base - int64(k)<<22 - int64(mm-nn)<<8 - 3
-	}
-
-	for k := 0; k < nt; k++ {
-		k := k
-		pt := g.NewTask(fmt.Sprintf("potrf(%d)", k), potrfPrio(k), cluster.TileID{M: k, N: k}, nil)
-		pt.Info = spanInfo(traced, k, k, k)
-		ptc := pt
-		pt.Run = func(c *cluster.Ctx) error {
-			d := c.Tile(k, k).D
-			if err := dense.Potrf(d); err != nil {
-				return err
-			}
-			in.potrf(c.Shard(), d.Rows, ptc.Info)
-			return nil
+	trim.Walk(s, func(t trim.Task, prev *cluster.Task, hasPrev bool) *cluster.Task {
+		task := g.NewTask(f.label(t), t.Prio, cluster.TileID{M: t.M, N: t.N}, nil)
+		task.Info = spanInfo(traced, t.K, t.M, t.N)
+		task.Run = func(c *cluster.Ctx) error {
+			return f.exec(c, t, cfg, in, c.Shard(), task.Info)
 		}
-		if lw := lastWriter[tileKey{k, k}]; lw != nil {
-			g.AddDep(lw, pt)
+		if hasPrev {
+			g.AddDep(prev, task)
 		}
-		lastWriter[tileKey{k, k}] = pt
-
-		nb := s.NbTrsm(k)
-		for i := 0; i < nb; i++ {
-			mi := s.TrsmAt(k, i)
-			tt := g.NewTask(fmt.Sprintf("trsm(%d,%d)", k, mi), trsmPrio(k, mi), cluster.TileID{M: mi, N: k}, nil)
-			tt.Info = spanInfo(traced, k, mi, k)
-			ttc := tt
-			tt.Run = func(c *cluster.Ctx) error {
-				t := c.Tile(mi, k)
-				tlr.Trsm(c.Tile(k, k).D, t)
-				in.trsm(c.Shard(), t, ttc.Info)
-				return nil
-			}
-			g.AddDep(pt, tt)
-			if lw := lastWriter[tileKey{mi, k}]; lw != nil {
-				g.AddDep(lw, tt)
-			}
-			lastWriter[tileKey{mi, k}] = tt
-			trsmT[tileKey{mi, k}] = tt
-
-			st := g.NewTask(fmt.Sprintf("syrk(%d,%d)", k, mi), syrkPrio(k, mi), cluster.TileID{M: mi, N: mi}, nil)
-			st.Info = spanInfo(traced, k, mi, mi)
-			stc := st
-			st.Run = func(c *cluster.Ctx) error {
-				a := c.Tile(mi, k)
-				tlr.Syrk(a, c.Tile(mi, mi).D)
-				in.syrk(c.Shard(), a, stc.Info)
-				return nil
-			}
-			g.AddDep(tt, st)
-			if lw := lastWriter[tileKey{mi, mi}]; lw != nil {
-				g.AddDep(lw, st)
-			}
-			lastWriter[tileKey{mi, mi}] = st
-
-			for j := 0; j < i; j++ {
-				ni := s.TrsmAt(k, j)
-				gt := g.NewTask(fmt.Sprintf("gemm(%d,%d,%d)", k, mi, ni), gemmPrio(k, mi, ni), cluster.TileID{M: mi, N: ni}, nil)
-				gt.Info = spanInfo(traced, k, mi, ni)
-				gtc := gt
-				gt.Run = func(c *cluster.Ctx) error {
-					a, b, cc := c.Tile(mi, k), c.Tile(ni, k), c.Tile(mi, ni)
-					ka, kb, kc := a.Rank(), b.Rank(), cc.Rank()
-					out := tlr.Gemm(a, b, cc, cfg)
-					c.SetTile(mi, ni, out)
-					in.gemm(c.Shard(), ka, kb, kc, out, gtc.Info)
-					return nil
-				}
-				g.AddDep(tt, gt)
-				g.AddDep(trsmT[tileKey{ni, k}], gt)
-				if lw := lastWriter[tileKey{mi, ni}]; lw != nil {
-					g.AddDep(lw, gt)
-				}
-				lastWriter[tileKey{mi, ni}] = gt
-			}
-		}
-	}
+		return task
+	}, g.AddDep)
 	return g
 }

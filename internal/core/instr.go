@@ -81,29 +81,54 @@ func (in *instr) record(class, shard int, effF, dnsF float64) {
 	in.dns[class].Add(shard, uint64(dnsF))
 }
 
-// potrf records a diagonal-tile Cholesky: dense, so effective ==
-// dense-equivalent.
-func (in *instr) potrf(shard, b int, info *obs.SpanInfo) {
+// diag records a diagonal-tile factorization (cPotrf or cSytrf): dense,
+// so effective == dense-equivalent.
+func (in *instr) diag(class, shard, b int, info *obs.SpanInfo) {
 	f := flops.Potrf(b)
-	in.record(cPotrf, shard, f, f)
+	if class == cSytrf {
+		f = flops.Sytrf(b)
+	}
+	in.record(class, shard, f, f)
 	if info != nil {
 		info.RankIn, info.RankOut = int32(b), int32(b)
 		info.Flops = f
 	}
 }
 
-// trsm records a panel solve against tile t (rank unchanged by TRSM).
-func (in *instr) trsm(shard int, t *tlr.Tile, info *obs.SpanInfo) {
+// trsm records a panel solve (cTrsm, or cTrsmD: TRSM + D⁻¹ scale)
+// against tile t.
+func (in *instr) trsm(class, shard int, t *tlr.Tile, info *obs.SpanInfo) {
+	if class == cTrsmD {
+		in.panel(class, shard, t, flops.TrsmLDLtDense, flops.TrsmLDLtLR, info)
+	} else {
+		in.panel(class, shard, t, flops.TrsmDense, flops.TrsmLR, info)
+	}
+}
+
+// syrk records a diagonal update (cSyrk, or the D-weighted cSyrkD) from
+// panel tile a.
+func (in *instr) syrk(class, shard int, a *tlr.Tile, info *obs.SpanInfo) {
+	if class == cSyrkD {
+		in.panel(class, shard, a, flops.SyrkDDense, flops.SyrkDLR, info)
+	} else {
+		in.panel(class, shard, a, flops.SyrkDense, flops.SyrkLR, info)
+	}
+}
+
+// panel records a TRSM or SYRK on panel tile t, whose rank the kernel
+// leaves unchanged; dns and lr are the class's costs on a dense b×b
+// tile and on a rank-k one.
+func (in *instr) panel(class, shard int, t *tlr.Tile, dns func(b int) float64, lr func(b, k int) float64, info *obs.SpanInfo) {
 	b := t.Rows
-	dnsF := flops.TrsmDense(b)
+	dnsF := dns(b)
 	var effF float64
 	switch t.Kind {
 	case tlr.Dense:
 		effF = dnsF
 	case tlr.LowRank:
-		effF = flops.TrsmLR(b, t.Rank())
+		effF = lr(b, t.Rank())
 	}
-	in.record(cTrsm, shard, effF, dnsF)
+	in.record(class, shard, effF, dnsF)
 	if info != nil {
 		r := int32(t.Rank())
 		info.RankIn, info.RankOut = r, r
@@ -111,33 +136,19 @@ func (in *instr) trsm(shard int, t *tlr.Tile, info *obs.SpanInfo) {
 	}
 }
 
-// syrk records a diagonal update from panel tile a.
-func (in *instr) syrk(shard int, a *tlr.Tile, info *obs.SpanInfo) {
-	b := a.Rows
-	dnsF := flops.SyrkDense(b)
-	var effF float64
-	switch a.Kind {
-	case tlr.Dense:
-		effF = dnsF
-	case tlr.LowRank:
-		effF = flops.SyrkLR(b, a.Rank())
-	}
-	in.record(cSyrk, shard, effF, dnsF)
-	if info != nil {
-		r := int32(a.Rank())
-		info.RankIn, info.RankOut = r, r
-		info.Flops = effF
-	}
-}
-
-// gemm records the update C ← C − A·Bᵀ: ka, kb, kc are the input ranks
-// (kc the written tile's rank before the kernel), out the tile after.
-func (in *instr) gemm(shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanInfo) {
+// gemm records the update C ← C − A·Bᵀ (cGemm) or C ← C − A·D·Bᵀ
+// (cGemmD): ka, kb, kc are the input ranks (kc the written tile's rank
+// before the kernel), out the tile after.
+func (in *instr) gemm(class, shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanInfo) {
 	b := out.Rows
 	dnsF := flops.GemmDense(b)
 	var effF float64
 	if ka > 0 && kb > 0 {
-		effF = flops.GemmLR(b, ka, kb, kc)
+		if class == cGemmD {
+			effF = flops.GemmDLR(b, ka, kb, kc)
+		} else {
+			effF = flops.GemmLR(b, ka, kb, kc)
+		}
 		in.rankH.Observe(shard, float64(out.Rank()))
 		if kc == 0 && out.Rank() > 0 {
 			in.fillin.Add(shard, 1)
@@ -146,78 +157,7 @@ func (in *instr) gemm(shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanInfo) 
 			}
 		}
 	}
-	in.record(cGemm, shard, effF, dnsF)
-	if info != nil {
-		info.RankIn, info.RankOut = int32(kc), int32(out.Rank())
-		info.Flops = effF
-	}
-}
-
-// sytrf records a diagonal-tile LDLᵀ: dense, effective == dense.
-func (in *instr) sytrf(shard, b int, info *obs.SpanInfo) {
-	f := flops.Sytrf(b)
-	in.record(cSytrf, shard, f, f)
-	if info != nil {
-		info.RankIn, info.RankOut = int32(b), int32(b)
-		info.Flops = f
-	}
-}
-
-// trsmD records an LDLᵀ panel solve (TRSM + D⁻¹ scale) against tile t.
-func (in *instr) trsmD(shard int, t *tlr.Tile, info *obs.SpanInfo) {
-	b := t.Rows
-	dnsF := flops.TrsmLDLtDense(b)
-	var effF float64
-	switch t.Kind {
-	case tlr.Dense:
-		effF = dnsF
-	case tlr.LowRank:
-		effF = flops.TrsmLDLtLR(b, t.Rank())
-	}
-	in.record(cTrsmD, shard, effF, dnsF)
-	if info != nil {
-		r := int32(t.Rank())
-		info.RankIn, info.RankOut = r, r
-		info.Flops = effF
-	}
-}
-
-// syrkD records a D-weighted diagonal update from panel tile a.
-func (in *instr) syrkD(shard int, a *tlr.Tile, info *obs.SpanInfo) {
-	b := a.Rows
-	dnsF := flops.SyrkDDense(b)
-	var effF float64
-	switch a.Kind {
-	case tlr.Dense:
-		effF = dnsF
-	case tlr.LowRank:
-		effF = flops.SyrkDLR(b, a.Rank())
-	}
-	in.record(cSyrkD, shard, effF, dnsF)
-	if info != nil {
-		r := int32(a.Rank())
-		info.RankIn, info.RankOut = r, r
-		info.Flops = effF
-	}
-}
-
-// gemmD records the D-weighted update C ← C − A·D·Bᵀ; the rank and
-// fill-in bookkeeping matches the Cholesky gemm.
-func (in *instr) gemmD(shard, ka, kb, kc int, out *tlr.Tile, info *obs.SpanInfo) {
-	b := out.Rows
-	dnsF := flops.GemmDense(b)
-	var effF float64
-	if ka > 0 && kb > 0 {
-		effF = flops.GemmDLR(b, ka, kb, kc)
-		in.rankH.Observe(shard, float64(out.Rank()))
-		if kc == 0 && out.Rank() > 0 {
-			in.fillin.Add(shard, 1)
-			if tr := obs.Active(); tr != nil {
-				tr.Instant("fill_in", int32(shard), float64(out.Rank()))
-			}
-		}
-	}
-	in.record(cGemmD, shard, effF, dnsF)
+	in.record(class, shard, effF, dnsF)
 	if info != nil {
 		info.RankIn, info.RankOut = int32(kc), int32(out.Rank())
 		info.Flops = effF

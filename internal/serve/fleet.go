@@ -362,7 +362,7 @@ func (fl *Fleet) Stats() FleetStatsResponse {
 			Drops:      fl.repl.drops.Value(),
 			Active:     fl.repl.activeReplicas(),
 		},
-		Request: fl.tr.reqLatency.Stats(),
+		Request: requestLatencyStats(fl.tr.reqLatency),
 		Flight:  fl.tr.flight.Stats(),
 	}
 	for i, sh := range fl.shards {

@@ -5,91 +5,89 @@ import (
 	"sync"
 )
 
-// latencyRing keeps the most recent substitution-only latencies (the
-// time spent inside the triangular sweeps, excluding cache waits and
-// batcher windows) and reports nearest-rank percentiles over that
-// window. A fixed ring bounds memory for a long-lived server while
-// staying responsive to workload shifts; the histogram in the metrics
-// registry keeps the lifetime view.
-type latencyRing struct {
+// windowSize is how many recent samples a latency window keeps.
+const windowSize = 1024
+
+// window keeps the most recent samples of one kind and reports
+// nearest-rank percentiles over them. A fixed ring bounds memory for a
+// long-lived server while staying responsive to workload shifts; the
+// histograms in the metrics registry keep the lifetime view.
+type window[T any] struct {
 	mu    sync.Mutex
-	buf   []float64
+	buf   []T
 	next  int
 	count uint64
 }
 
-// newLatencyRing returns a ring over the last size samples (≤ 0 means
-// 1024).
-func newLatencyRing(size int) *latencyRing {
-	if size <= 0 {
-		size = 1024
-	}
-	return &latencyRing{buf: make([]float64, 0, size)}
+func newWindow[T any]() *window[T] {
+	return &window[T]{buf: make([]T, 0, windowSize)}
 }
 
-// Record adds one latency sample in milliseconds.
-func (l *latencyRing) Record(ms float64) {
-	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, ms)
+// Record adds one sample.
+func (w *window[T]) Record(v T) {
+	w.mu.Lock()
+	if len(w.buf) < cap(w.buf) {
+		w.buf = append(w.buf, v)
 	} else {
-		l.buf[l.next] = ms
+		w.buf[w.next] = v
 	}
-	l.next = (l.next + 1) % cap(l.buf)
-	l.count++
-	l.mu.Unlock()
+	w.next = (w.next + 1) % cap(w.buf)
+	w.count++
+	w.mu.Unlock()
 }
 
-// SolveLatencyStats is the /v1/stats view of recent solve-only latency.
+// sorted returns the window's samples ordered by less, and the lifetime
+// sample count.
+func (w *window[T]) sorted(less func(a, b T) bool) ([]T, uint64) {
+	w.mu.Lock()
+	s := append([]T(nil), w.buf...)
+	count := w.count
+	w.mu.Unlock()
+	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+	return s, count
+}
+
+// nearestRank returns the p-quantile of the non-empty ascending s by
+// the nearest-rank rule.
+func nearestRank[T any](s []T, p float64) T {
+	i := int(p*float64(len(s))+0.5) - 1
+	if i < 0 {
+		i = 0
+	}
+	if i >= len(s) {
+		i = len(s) - 1
+	}
+	return s[i]
+}
+
+// SolveLatencyStats is the /v1/stats view of recent solve-only latency:
+// the time spent inside the triangular sweeps, excluding cache waits
+// and batcher windows.
 type SolveLatencyStats struct {
 	// Count is the lifetime number of recorded solves; the percentiles
-	// cover only the ring window (the most recent samples).
+	// cover only the window (the most recent samples).
 	Count uint64  `json:"count"`
 	P50MS float64 `json:"p50_ms"`
 	P95MS float64 `json:"p95_ms"`
 	P99MS float64 `json:"p99_ms"`
 }
 
-// breakdownRing keeps the most recent end-to-end request breakdowns.
-// Where latencyRing answers "how fast are substitutions", this ring
-// answers "how fast are requests, and where does the time go": each
-// retained sample is a full BreakdownMS, so a percentile report can
-// show the decomposition of an actual request at that rank rather
-// than averaging components across requests (averages of phases do
-// not sum to percentiles of totals).
-type breakdownRing struct {
-	mu    sync.Mutex
-	buf   []BreakdownMS
-	next  int
-	count uint64
-}
-
-// newBreakdownRing returns a ring over the last size samples (≤ 0
-// means 1024).
-func newBreakdownRing(size int) *breakdownRing {
-	if size <= 0 {
-		size = 1024
+// solveLatencyStats computes the percentiles of a window of
+// substitution-only latencies in milliseconds.
+func solveLatencyStats(w *window[float64]) SolveLatencyStats {
+	s, count := w.sorted(func(a, b float64) bool { return a < b })
+	out := SolveLatencyStats{Count: count}
+	if len(s) > 0 {
+		out.P50MS, out.P95MS, out.P99MS = nearestRank(s, 0.50), nearestRank(s, 0.95), nearestRank(s, 0.99)
 	}
-	return &breakdownRing{buf: make([]BreakdownMS, 0, size)}
-}
-
-// Record adds one completed request's breakdown.
-func (l *breakdownRing) Record(bd BreakdownMS) {
-	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, bd)
-	} else {
-		l.buf[l.next] = bd
-	}
-	l.next = (l.next + 1) % cap(l.buf)
-	l.count++
-	l.mu.Unlock()
+	return out
 }
 
 // RequestLatencyStats is the /v1/stats view of recent end-to-end
 // request latency. Each percentile row is the breakdown of the actual
 // request at that rank (carrying its trace id, so a spiking p99 leads
-// straight to /v1/trace/<id>), not an aggregate of components.
+// straight to /v1/trace/<id>), not an aggregate of components:
+// averages of phases do not sum to percentiles of totals.
 type RequestLatencyStats struct {
 	Count uint64      `json:"count"`
 	P50   BreakdownMS `json:"p50"`
@@ -97,56 +95,13 @@ type RequestLatencyStats struct {
 	P99   BreakdownMS `json:"p99"`
 }
 
-// Stats computes nearest-rank percentiles over the current window.
-func (l *breakdownRing) Stats() RequestLatencyStats {
-	l.mu.Lock()
-	sorted := append([]BreakdownMS(nil), l.buf...)
-	count := l.count
-	l.mu.Unlock()
+// requestLatencyStats computes the percentiles of a window of request
+// breakdowns, ranked by end-to-end latency.
+func requestLatencyStats(w *window[BreakdownMS]) RequestLatencyStats {
+	s, count := w.sorted(func(a, b BreakdownMS) bool { return a.E2EMS < b.E2EMS })
 	out := RequestLatencyStats{Count: count}
-	if len(sorted) == 0 {
-		return out
+	if len(s) > 0 {
+		out.P50, out.P95, out.P99 = nearestRank(s, 0.50), nearestRank(s, 0.95), nearestRank(s, 0.99)
 	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].E2EMS < sorted[j].E2EMS })
-	rank := func(p float64) BreakdownMS {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	out.P50 = rank(0.50)
-	out.P95 = rank(0.95)
-	out.P99 = rank(0.99)
-	return out
-}
-
-// Stats computes nearest-rank percentiles over the current window.
-func (l *latencyRing) Stats() SolveLatencyStats {
-	l.mu.Lock()
-	sorted := append([]float64(nil), l.buf...)
-	count := l.count
-	l.mu.Unlock()
-	out := SolveLatencyStats{Count: count}
-	if len(sorted) == 0 {
-		return out
-	}
-	sort.Float64s(sorted)
-	rank := func(p float64) float64 {
-		i := int(p*float64(len(sorted))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(sorted) {
-			i = len(sorted) - 1
-		}
-		return sorted[i]
-	}
-	out.P50MS = rank(0.50)
-	out.P95MS = rank(0.95)
-	out.P99MS = rank(0.99)
 	return out
 }

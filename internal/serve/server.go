@@ -135,7 +135,7 @@ type Server struct {
 	factorLatency, solveLatency, substLatency     *obs.Histogram
 	// solveOnly tracks recent substitution-only latencies for the
 	// /v1/stats percentile report and the Retry-After estimator.
-	solveOnly *latencyRing
+	solveOnly *window[float64]
 
 	// tr is the request-tracing front end (trace ids, flight retention,
 	// end-to-end breakdown ring, access log). In fleet mode the Fleet
@@ -167,7 +167,7 @@ func New(cfg Config) *Server {
 		factorLatency: reg.Histogram("serve.factorize.latency_ms", 10, 100, 1000, 10000, 60000),
 		solveLatency:  reg.Histogram("serve.solve.latency_ms", 1, 5, 10, 50, 100, 1000, 10000),
 		substLatency:  reg.Histogram("serve.solve.subst_ms", 1, 5, 10, 50, 100, 1000, 10000),
-		solveOnly:     newLatencyRing(0),
+		solveOnly:     newWindow[float64](),
 	}
 	s.tr = newTracer(&cfg, s.httpErrors)
 	s.mux.HandleFunc("POST /v1/factorize", s.tr.traced("/v1/factorize", true, s.handleFactorize))
@@ -222,7 +222,7 @@ func (s *Server) failAPI(w http.ResponseWriter, e *apiError) {
 // can compare shards by it; the client-facing header adds jitter on
 // top (retryAfterSeconds) to decorrelate retry storms.
 func (s *Server) retryAfterEstimate() int {
-	st := s.solveOnly.Stats()
+	st := solveLatencyStats(s.solveOnly)
 	p50 := st.P50MS
 	if st.Count == 0 || p50 <= 0 {
 		p50 = 25
@@ -807,8 +807,8 @@ func (s *Server) statsBody() StatsResponse {
 		Cache:     s.cache.Stats(),
 		Admission: s.adm.Stats(),
 		Replica:   s.replicas.stats(),
-		SolveOnly: s.solveOnly.Stats(),
-		Request:   s.tr.reqLatency.Stats(),
+		SolveOnly: solveLatencyStats(s.solveOnly),
+		Request:   requestLatencyStats(s.tr.reqLatency),
 		Flight:    s.tr.flight.Stats(),
 		Totals:    counterMap(snap),
 		Window:    counterMap(delta),

@@ -92,7 +92,7 @@ type tracer struct {
 	ids        *traceIDs
 	spanCap    int // 0 disables span detail
 	flight     *obs.FlightRecorder
-	reqLatency *breakdownRing
+	reqLatency *window[BreakdownMS]
 	errs       *obs.Counter
 	accessLog  io.Writer
 	accessMu   sync.Mutex
@@ -108,7 +108,7 @@ func newTracer(cfg *Config, errs *obs.Counter) *tracer {
 		ids:        newTraceIDs(),
 		spanCap:    spanCap,
 		flight:     obs.NewFlightRecorder(cfg.FlightSlow, cfg.FlightRecent, cfg.FlightErrors),
-		reqLatency: newBreakdownRing(0),
+		reqLatency: newWindow[BreakdownMS](),
 		errs:       errs,
 		accessLog:  cfg.AccessLog,
 	}

@@ -11,6 +11,7 @@ import (
 	"tlrchol/internal/flops"
 	"tlrchol/internal/obs"
 	"tlrchol/internal/runtime"
+	"tlrchol/internal/trim"
 )
 
 // Config selects the cluster, its size and the data/execution
@@ -91,19 +92,11 @@ func (r Result) Efficiency() float64 {
 	return r.CriticalPathTime / r.Makespan
 }
 
-type taskKind uint8
-
-const (
-	kPotrf taskKind = iota
-	kTrsm
-	kSyrk
-	kGemm
-)
-
-var kindNames = [...]string{"potrf", "trsm", "syrk", "gemm"}
+// kindNames labels the task classes in traces.
+var kindNames = [...]string{trim.Diag: "potrf", trim.Trsm: "trsm", trim.Syrk: "syrk", trim.Gemm: "gemm"}
 
 type simTask struct {
-	kind    taskKind
+	kind    trim.Class
 	k, m, n int32
 	deps    int32
 	proc    int32
@@ -147,36 +140,25 @@ func Run(w Workload, cfg Config) (Result, error) {
 	return res, nil
 }
 
-// buildDAG materializes the (possibly trimmed) task DAG with costs,
-// executing processes and priorities, mirroring the construction the
-// shared-memory runtime uses.
+// buildDAG materializes the (possibly trimmed) task DAG of trim.Walk —
+// the one the shared-memory runtime and the virtual cluster execute —
+// with simulated costs and executing processes.
 func buildDAG(w Workload, cfg Config) ([]simTask, Result) {
 	nt := w.NT
 	b := w.B
 	mch := cfg.Machine
 	var res Result
-
 	tasks := make([]simTask, 0, nt*4)
-	lastWriter := make(map[int64]int32, nt*nt/2)
-	trsmIdx := make(map[int64]int32, nt)
-	tileKey := func(m, n int) int64 { return int64(m)*int64(nt) + int64(n) }
-
-	base := int64(nt+2) << 22
 	addDep := func(pred, succ int32) {
 		tasks[pred].succs = append(tasks[pred].succs, succ)
 		tasks[succ].deps++
 	}
-	newTask := func(t simTask) int32 {
-		id := int32(len(tasks))
-		tasks = append(tasks, t)
-		return id
-	}
 
-	// firstToucher[tile] marks that the tile's initial content has been
+	// shipCharged[tile] marks that the tile's initial content has been
 	// charged (ship-in when executor differs from owner).
 	shipCharged := make(map[int64]bool)
 	shipIn := func(m, n int, id int32) {
-		key := tileKey(m, n)
+		key := int64(m)*int64(nt) + int64(n)
 		if shipCharged[key] {
 			return
 		}
@@ -198,117 +180,60 @@ func buildDAG(w Workload, cfg Config) ([]simTask, Result) {
 		res.ShipVolume += 2 * bytes // in now, back at the end
 	}
 
-	for k := 0; k < nt; k++ {
-		pr := w.workRank // shorthand
-		pid := newTask(simTask{
-			kind: kPotrf, k: int32(k), m: int32(k), n: int32(k),
-			proc: int32(cfg.Remap.ExecRankOf(k, k)),
-			cost: mch.NestedSeconds(flops.Potrf(b)),
-			prio: base - int64(k)<<22,
-		})
-		if lw, ok := lastWriter[tileKey(k, k)]; ok {
-			addDep(lw, pid)
+	// seconds costs a kernel: the leading tasks of each panel feed the
+	// critical path and run node-parallel (the nested parallelism
+	// inherited from Lorapo); trailing tasks run as single-core tasks.
+	seconds := func(t trim.Task, f float64) float64 {
+		if t.M-t.K <= 2 {
+			return mch.NestedSeconds(f)
 		}
-		lastWriter[tileKey(k, k)] = pid
-		shipIn(k, k, pid)
-		res.Potrf++
-
-		nb := w.S.NbTrsm(k)
-		for i := 0; i < nb; i++ {
-			m := w.S.TrsmAt(k, i)
-			r := pr(m, k)
-			null := r == 0
-			var cost float64
-			if !null {
-				// The leading TRSMs of the panel feed the critical path and
-				// run node-parallel (the nested parallelism inherited from
-				// Lorapo); trailing TRSMs run as single-core tasks.
-				if m-k <= 2 {
-					cost = mch.NestedSeconds(flops.TrsmLR(b, r))
-				} else {
-					cost = mch.Seconds(flops.TrsmLR(b, r))
-				}
-			}
-			tid := newTask(simTask{
-				kind: kTrsm, k: int32(k), m: int32(m), n: int32(k),
-				proc: int32(cfg.Remap.ExecRankOf(m, k)),
-				null: null, cost: cost,
-				prio: base - int64(k)<<22 - int64(m-k)<<8 - 1,
-			})
-			addDep(pid, tid)
-			if lw, ok := lastWriter[tileKey(m, k)]; ok {
-				addDep(lw, tid)
-			}
-			lastWriter[tileKey(m, k)] = tid
-			trsmIdx[tileKey(m, k)] = tid
-			shipIn(m, k, tid)
-			res.Trsm++
-			if null {
-				res.NullTasks++
-			}
-
-			var scost float64
-			if !null {
-				if m-k <= 2 {
-					scost = mch.NestedSeconds(flops.SyrkLR(b, r))
-				} else {
-					scost = mch.Seconds(flops.SyrkLR(b, r))
-				}
-			}
-			sid := newTask(simTask{
-				kind: kSyrk, k: int32(k), m: int32(m), n: int32(m),
-				proc: int32(cfg.Remap.ExecRankOf(m, m)),
-				null: null, cost: scost,
-				prio: base - int64(k)<<22 - int64(m-k)<<8 - 2,
-			})
-			addDep(tid, sid)
-			if lw, ok := lastWriter[tileKey(m, m)]; ok {
-				addDep(lw, sid)
-			}
-			lastWriter[tileKey(m, m)] = sid
-			shipIn(m, m, sid)
-			res.Syrk++
-			if null {
-				res.NullTasks++
-			}
-
-			for j := 0; j < i; j++ {
-				n := w.S.TrsmAt(k, j)
-				ka, kb := pr(m, k), pr(n, k)
-				gnull := ka == 0 || kb == 0
-				var gcost float64
-				if !gnull {
-					// Leading GEMMs writing the subdiagonal feed the next
-					// panel's critical-path TRSM; like the other critical-path
-					// kernels they run node-parallel.
-					if m-k <= 2 {
-						gcost = mch.NestedSeconds(flops.GemmLR(b, ka, kb, pr(m, n)))
-					} else {
-						gcost = mch.Seconds(flops.GemmLR(b, ka, kb, pr(m, n)))
-					}
-				}
-				gid := newTask(simTask{
-					kind: kGemm, k: int32(k), m: int32(m), n: int32(n),
-					proc: int32(cfg.Remap.ExecRankOf(m, n)),
-					null: gnull, cost: gcost,
-					prio: base - int64(k)<<22 - int64(m-n)<<8 - 3,
-				})
-				addDep(tid, gid)
-				addDep(trsmIdx[tileKey(n, k)], gid)
-				if lw, ok := lastWriter[tileKey(m, n)]; ok {
-					addDep(lw, gid)
-				}
-				lastWriter[tileKey(m, n)] = gid
-				if !gnull || w.initRank(m, n) > 0 {
-					shipIn(m, n, gid)
-				}
-				res.Gemm++
-				if gnull {
-					res.NullTasks++
-				}
-			}
-		}
+		return mch.Seconds(f)
 	}
+	pr := w.workRank
+	trim.Walk(w.S, func(t trim.Task, prev int32, hasPrev bool) int32 {
+		st := simTask{
+			kind: t.Class, k: int32(t.K), m: int32(t.M), n: int32(t.N),
+			proc: int32(cfg.Remap.ExecRankOf(t.M, t.N)),
+			prio: t.Prio,
+		}
+		ship := true
+		switch t.Class {
+		case trim.Diag:
+			st.cost = mch.NestedSeconds(flops.Potrf(b))
+			res.Potrf++
+		case trim.Trsm:
+			r := pr(t.M, t.K)
+			if st.null = r == 0; !st.null {
+				st.cost = seconds(t, flops.TrsmLR(b, r))
+			}
+			res.Trsm++
+		case trim.Syrk:
+			r := pr(t.M, t.K)
+			if st.null = r == 0; !st.null {
+				st.cost = seconds(t, flops.SyrkLR(b, r))
+			}
+			res.Syrk++
+		case trim.Gemm:
+			ka, kb := pr(t.M, t.K), pr(t.N, t.K)
+			if st.null = ka == 0 || kb == 0; !st.null {
+				st.cost = seconds(t, flops.GemmLR(b, ka, kb, pr(t.M, t.N)))
+			}
+			ship = !st.null || w.initRank(t.M, t.N) > 0
+			res.Gemm++
+		}
+		if st.null {
+			res.NullTasks++
+		}
+		id := int32(len(tasks))
+		tasks = append(tasks, st)
+		if hasPrev {
+			addDep(prev, id)
+		}
+		if ship {
+			shipIn(t.M, t.N, id)
+		}
+		return id
+	}, addDep)
 	res.Tasks = len(tasks)
 	return tasks, res
 }

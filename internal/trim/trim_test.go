@@ -17,6 +17,21 @@ func denseRanks(nt, r int) Ranks {
 	return Ranks{N: nt, R: rk}
 }
 
+// randomRanks builds a RankArray whose off-diagonal tiles are non-zero
+// with probability density, at ranks 1..5.
+func randomRanks(rng *rand.Rand, nt int, density float64) Ranks {
+	rk := make([][]int, nt)
+	for m := range rk {
+		rk[m] = make([]int, m)
+		for n := range rk[m] {
+			if rng.Float64() < density {
+				rk[m][n] = 1 + rng.Intn(5)
+			}
+		}
+	}
+	return Ranks{N: nt, R: rk}
+}
+
 func TestFullStructureCounts(t *testing.T) {
 	nt := 6
 	f := Full{Nt: nt}
@@ -199,18 +214,8 @@ func TestAnalysisOverheadMetering(t *testing.T) {
 }
 
 func TestTrsmListsSorted(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	nt := 15
-	rk := make([][]int, nt)
-	for m := range rk {
-		rk[m] = make([]int, m)
-		for n := range rk[m] {
-			if rng.Float64() < 0.3 {
-				rk[m][n] = 1 + rng.Intn(5)
-			}
-		}
-	}
-	a := Analyze(Ranks{N: nt, R: rk}, AllLocal)
+	a := Analyze(randomRanks(rand.New(rand.NewSource(2)), nt, 0.3), AllLocal)
 	for k := 0; k < nt; k++ {
 		for i := 1; i < a.NbTrsm(k); i++ {
 			if a.TrsmAt(k, i) <= a.TrsmAt(k, i-1) {

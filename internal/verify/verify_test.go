@@ -122,7 +122,7 @@ func TestVerifyPTGCholesky(t *testing.T) {
 	}
 }
 
-// TestVerifyCoreGraphs proves the hand-wired factorization graphs of
+// TestVerifyCoreGraphs proves the factorization graphs of
 // package core hazard-complete via their declared tile accesses — the
 // check that would have caught a forgotten AddDep the day it was
 // written.
@@ -132,15 +132,17 @@ func TestVerifyCoreGraphs(t *testing.T) {
 	m, _ := tilemat.FromDense(a, 32, 1e-8, 0)
 	for _, tc := range []struct {
 		name string
+		form tilemat.Form
 		opts core.Options
 		trim bool
 	}{
 		{name: "full", opts: core.Options{Tol: 1e-8}},
 		{name: "trimmed", opts: core.Options{Tol: 1e-8}, trim: true},
 		{name: "nested", opts: core.Options{Tol: 1e-8, NestedDiag: 8}},
+		{name: "ldlt", form: tilemat.FormLDLt, opts: core.Options{Tol: 1e-8}, trim: true},
 	} {
 		s := core.Structure(m, tc.trim)
-		g := core.BuildGraph(m, s, tc.opts)
+		g := core.BuildGraph(m, tc.form, s, tc.opts)
 		fs := CheckGraph(g)
 		if err := fs.Err(); err != nil {
 			t.Fatalf("%s: core graph rejected: %v", tc.name, err)

@@ -205,9 +205,10 @@ echo "== indefinite factorization gate"
 # saddle-point system Cholesky rejects) must hold under the race
 # detector, and a CLI run of the full indefinite pipeline — ARA
 # compression, augmented assembly, LDLᵀ factor, solve — must report its
-# residual.
+# residual, after the static verifier (-check) has proven the LDLᵀ
+# graph hazard-complete.
 go test -race -run 'TestLDLtMatchesDense|TestLDLtPlannedSolveBitwise' ./internal/core
-ldlt_out="$(go run ./cmd/tlrchol -n 508 -b 64 -tol 1e-8 -compress ara -factor ldlt -augmented)"
+ldlt_out="$(go run ./cmd/tlrchol -n 508 -b 64 -tol 1e-8 -compress ara -factor ldlt -augmented -check)"
 echo "$ldlt_out" | grep -q 'factor error |LDL^T - A|/|A|' || {
     echo "check.sh: ldlt run printed no LDL^T factor error" >&2; exit 1; }
 echo "$ldlt_out" | grep -q 'solve residual |Ax - b|/|b|' || {
