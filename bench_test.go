@@ -236,6 +236,22 @@ func BenchmarkRecompress(b *testing.B) {
 	}
 }
 
+// BenchmarkRecompressRankDeficient recompresses the stacked [U₀ | U₀·C]
+// shape of a low-rank accumulation, whose core has exactly dependent
+// columns decaying into the subnormal range: the case that used to run
+// the Jacobi SVD to its sweep cap, which random full-rank inputs never
+// reach.
+func BenchmarkRecompressRankDeficient(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	u := dense.RandomDependentStack(rng, 256, 16)
+	v := dense.RandomDependentStack(rng, 256, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tlr.Recompress(u, v, 1e-8, 0)
+	}
+}
+
 // BenchmarkFactorizeRBF is the end-to-end Fig04-scale factorization:
 // N=1024 points, tile size 128, trimming on — the wall-clock headline
 // the perf-regression harness tracks.

@@ -48,6 +48,21 @@ func TestSequentialFactorizeDenseTiles(t *testing.T) {
 	}
 }
 
+// TestFactorizeRBFSVDConverges checks that no recompression SVD of an
+// N=1024 RBF factorization stops at the Jacobi sweep cap: the
+// dense.svd.capped counter must not move.
+func TestFactorizeRBFSVDConverges(t *testing.T) {
+	capped := obs.Default.Counter("dense.svd.capped")
+	m, _ := rbfMatrix(t, 1024, 128, 2, 1e-6)
+	before := capped.Value()
+	if _, err := Factorize(m, Options{Tol: 1e-6, Trim: true}); err != nil {
+		t.Fatal(err)
+	}
+	if n := capped.Value() - before; n != 0 {
+		t.Fatalf("%d recompression SVDs hit the Jacobi sweep cap", n)
+	}
+}
+
 func TestFactorizeRBFAccuracy(t *testing.T) {
 	for _, tol := range []float64{1e-4, 1e-6, 1e-8} {
 		m, a := rbfMatrix(t, 512, 64, 4, tol)

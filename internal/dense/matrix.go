@@ -194,6 +194,34 @@ func RandomLowRank(rng *rand.Rand, r, c, k int) *Matrix {
 	return out
 }
 
+// RandomDependentStack returns the r×2k stacked factor [U₀ | U₀·C] that
+// TLR low-rank accumulation produces, with U₀ (r×k) and C (k×k) random
+// and column j of each scaled by 10⁻⁴ʲ. The right half depends exactly
+// on the left and the column scales decay geometrically, so the core of
+// two such stacks in a recompression has columns that decay into the
+// subnormal range.
+func RandomDependentStack(rng *rand.Rand, r, k int) *Matrix {
+	graded := func(rows int) *Matrix {
+		m := Random(rng, rows, k)
+		for j := 0; j < k; j++ {
+			g := math.Pow(1e-4, float64(j))
+			for i := 0; i < rows; i++ {
+				m.Set(i, j, m.At(i, j)*g)
+			}
+		}
+		return m
+	}
+	u0 := graded(r)
+	uc := NewMatrix(r, k)
+	Gemm(NoTrans, NoTrans, 1, u0, graded(k), 0, uc)
+	out := NewMatrix(r, 2*k)
+	for i := 0; i < r; i++ {
+		copy(out.Row(i), u0.Row(i))
+		copy(out.Row(i)[k:], uc.Row(i))
+	}
+	return out
+}
+
 // FrobNorm returns the Frobenius norm of m.
 func (m *Matrix) FrobNorm() float64 {
 	var s float64

@@ -21,20 +21,22 @@ func QRWS(a *Matrix, ws *Workspace) (q, r *Matrix) {
 	if m < n {
 		panic("dense: QR requires rows >= cols")
 	}
-	work := ws.MatrixCopy(a)
+	// Column-major working copy: column j is wc[j*m:(j+1)*m], so every
+	// reflector application walks contiguous memory.
+	wc := colMajor(a, ws)
 	taus := ws.Floats(n)
 	// All Householder vectors live in one slab: v_k = vslab[k*m:][:m-k]
 	// with v_k[0] = 1 implicit in the stored 1.
 	vslab := ws.Floats(n * m)
 	for k := 0; k < n; k++ {
 		// Compute Householder reflector for column k below the diagonal.
+		col := wc[k*m+k : (k+1)*m]
 		var norm float64
-		for i := k; i < m; i++ {
-			v := work.At(i, k)
-			norm += v * v
+		for _, x := range col {
+			norm += x * x
 		}
 		norm = math.Sqrt(norm)
-		alpha := work.At(k, k)
+		alpha := col[0]
 		if norm == 0 {
 			taus[k] = 0
 			continue
@@ -43,8 +45,8 @@ func QRWS(a *Matrix, ws *Workspace) (q, r *Matrix) {
 		v := vslab[k*m : k*m+m-k]
 		v[0] = 1
 		denom := alpha - beta
-		for i := k + 1; i < m; i++ {
-			v[i-k] = work.At(i, k) / denom
+		for i, x := range col[1:] {
+			v[i+1] = x / denom
 		}
 		var vnorm2 float64
 		for _, x := range v {
@@ -53,26 +55,19 @@ func QRWS(a *Matrix, ws *Workspace) (q, r *Matrix) {
 		taus[k] = 2 / vnorm2
 		// Apply (I - tau·v·vᵀ) to the trailing columns of work.
 		for j := k; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i-k] * work.At(i, j)
-			}
-			s *= taus[k]
-			for i := k; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-s*v[i-k])
-			}
+			reflect(v, wc[j*m+k:(j+1)*m], taus[k])
 		}
 	}
 	r = ws.Matrix(n, n)
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
+			r.Data[i*n+j] = wc[j*m+i]
 		}
 	}
 	// Form thin Q by applying reflectors to the first n columns of I.
-	q = ws.Matrix(m, n)
-	for i := 0; i < n; i++ {
-		q.Set(i, i, 1)
+	qc := ws.Floats(m * n)
+	for j := 0; j < n; j++ {
+		qc[j*m+j] = 1
 	}
 	for k := n - 1; k >= 0; k-- {
 		if taus[k] == 0 {
@@ -80,17 +75,49 @@ func QRWS(a *Matrix, ws *Workspace) (q, r *Matrix) {
 		}
 		v := vslab[k*m : k*m+m-k]
 		for j := 0; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i-k] * q.At(i, j)
-			}
-			s *= taus[k]
-			for i := k; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*v[i-k])
-			}
+			reflect(v, qc[j*m+k:(j+1)*m], taus[k])
 		}
 	}
-	return q, r
+	return rowMajor(qc, m, n, ws), r
+}
+
+// reflect applies the Householder reflector I − tau·v·vᵀ to x in place,
+// accumulating vᵀx in index order.
+func reflect(v, x []float64, tau float64) {
+	x = x[:len(v)]
+	var s float64
+	for i, vi := range v {
+		s += vi * x[i]
+	}
+	s *= tau
+	for i, vi := range v {
+		x[i] -= s * vi
+	}
+}
+
+// colMajor returns a column-major scratch copy of a: column j occupies
+// [j*a.Rows, (j+1)*a.Rows).
+func colMajor(a *Matrix, ws *Workspace) []float64 {
+	m := a.Rows
+	c := ws.Floats(m * a.Cols)
+	for i := 0; i < m; i++ {
+		for j, v := range a.Row(i) {
+			c[j*m+i] = v
+		}
+	}
+	return c
+}
+
+// rowMajor returns the m×n scratch matrix whose column j is
+// c[j*m:(j+1)*m].
+func rowMajor(c []float64, m, n int, ws *Workspace) *Matrix {
+	out := ws.Matrix(m, n)
+	for j := 0; j < n; j++ {
+		for i, v := range c[j*m : (j+1)*m] {
+			out.Data[i*n+j] = v
+		}
+	}
+	return out
 }
 
 // QRCPResult is the outcome of a truncated column-pivoted QR: A·P ≈ Q·R
@@ -122,7 +149,7 @@ func QRCP(a *Matrix, tol float64, maxRank int) QRCPResult {
 // — taken from ws; the results are only valid until ws.Release.
 func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 	m, n := a.Rows, a.Cols
-	work := ws.MatrixCopy(a)
+	wc := colMajor(a, ws) // column j is wc[j*m:(j+1)*m]
 	kmax := m
 	if n < kmax {
 		kmax = n
@@ -134,23 +161,20 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 	for j := range perm {
 		perm[j] = j
 	}
-	colNorm2 := ws.Floats(n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			v := work.At(i, j)
-			colNorm2[j] += v * v
-		}
-	}
-	taus := ws.Floats(kmax)
-	vslab := ws.Floats(kmax * m) // v_k = vslab[k*m:][:m-k]
+	// exactNorm2 is the squared norm of column j from row fromRow down.
 	exactNorm2 := func(j, fromRow int) float64 {
 		var s float64
-		for i := fromRow; i < m; i++ {
-			v := work.At(i, j)
-			s += v * v
+		for _, x := range wc[j*m+fromRow : (j+1)*m] {
+			s += x * x
 		}
 		return s
 	}
+	colNorm2 := ws.Floats(n)
+	for j := range colNorm2 {
+		colNorm2[j] = exactNorm2(j, 0)
+	}
+	taus := ws.Floats(kmax)
+	vslab := ws.Floats(kmax * m) // v_k = vslab[k*m:][:m-k]
 	k := 0
 	for ; k < kmax; k++ {
 		// Pivot: bring the column with the largest remaining norm to front.
@@ -180,19 +204,19 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 		if best != k {
 			perm[k], perm[best] = perm[best], perm[k]
 			colNorm2[k], colNorm2[best] = colNorm2[best], colNorm2[k]
-			for i := 0; i < m; i++ {
-				wi := work.Data[i*work.Stride:]
-				wi[k], wi[best] = wi[best], wi[k]
+			ck, cb := wc[k*m:(k+1)*m], wc[best*m:(best+1)*m]
+			for i := range ck {
+				ck[i], cb[i] = cb[i], ck[i]
 			}
 		}
 		// Householder reflector for column k.
+		col := wc[k*m+k : (k+1)*m]
 		var norm float64
-		for i := k; i < m; i++ {
-			v := work.At(i, k)
-			norm += v * v
+		for _, x := range col {
+			norm += x * x
 		}
 		norm = math.Sqrt(norm)
-		alpha := work.At(k, k)
+		alpha := col[0]
 		if norm == 0 {
 			break
 		}
@@ -200,8 +224,8 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 		v := vslab[k*m : k*m+m-k]
 		v[0] = 1
 		denom := alpha - beta
-		for i := k + 1; i < m; i++ {
-			v[i-k] = work.At(i, k) / denom
+		for i, x := range col[1:] {
+			v[i+1] = x / denom
 		}
 		var vnorm2 float64
 		for _, x := range v {
@@ -209,23 +233,12 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 		}
 		tau := 2 / vnorm2
 		taus[k] = tau
-		work.Set(k, k, beta)
-		for i := k + 1; i < m; i++ {
-			work.Set(i, k, 0)
-		}
+		col[0] = beta
+		clear(col[1:])
 		// Apply reflector to trailing columns and downdate column norms.
 		for j := k + 1; j < n; j++ {
-			var s float64
-			s += work.At(k, j) // v[0] == 1
-			for i := k + 1; i < m; i++ {
-				s += v[i-k] * work.At(i, j)
-			}
-			s *= tau
-			work.Set(k, j, work.At(k, j)-s)
-			for i := k + 1; i < m; i++ {
-				work.Set(i, j, work.At(i, j)-s*v[i-k])
-			}
-			top := work.At(k, j)
+			reflect(v, wc[j*m+k:(j+1)*m], tau)
+			top := wc[j*m+k]
 			colNorm2[j] -= top * top
 			if colNorm2[j] < 0 {
 				colNorm2[j] = 0
@@ -236,28 +249,20 @@ func QRCPWS(a *Matrix, tol float64, maxRank int, ws *Workspace) QRCPResult {
 	r := ws.Matrix(rank, n)
 	for i := 0; i < rank; i++ {
 		for j := i; j < n; j++ {
-			r.Set(i, j, work.At(i, j))
+			r.Data[i*n+j] = wc[j*m+i]
 		}
 	}
-	q := ws.Matrix(m, rank)
-	for i := 0; i < rank; i++ {
-		q.Set(i, i, 1)
+	qc := ws.Floats(m * rank)
+	for j := 0; j < rank; j++ {
+		qc[j*m+j] = 1
 	}
 	for kk := rank - 1; kk >= 0; kk-- {
 		v := vslab[kk*m : kk*m+m-kk]
-		tau := taus[kk]
 		for j := 0; j < rank; j++ {
-			var s float64
-			for i := kk; i < m; i++ {
-				s += v[i-kk] * q.At(i, j)
-			}
-			s *= tau
-			for i := kk; i < m; i++ {
-				q.Set(i, j, q.At(i, j)-s*v[i-kk])
-			}
+			reflect(v, qc[j*m+kk:(j+1)*m], taus[kk])
 		}
 	}
-	return QRCPResult{Q: q, R: r, Perm: perm, Rank: rank}
+	return QRCPResult{Q: rowMajor(qc, m, rank, ws), R: r, Perm: perm, Rank: rank}
 }
 
 // UnpermuteColumns returns R·Pᵀ as a dense matrix: column perm[j] of the

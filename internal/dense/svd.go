@@ -1,6 +1,10 @@
 package dense
 
-import "math"
+import (
+	"math"
+
+	"tlrchol/internal/obs"
+)
 
 // SVDResult holds a (thin) singular value decomposition A = U·diag(S)·Vᵀ
 // with U m×k, S length k (descending), V n×k, for k = min(m,n).
@@ -10,12 +14,28 @@ type SVDResult struct {
 	V *Matrix
 }
 
+// svdCapped counts SVDs whose Jacobi iteration stopped at the sweep cap
+// instead of converging; sharded on the workspace like the pool counters.
+var svdCapped = obs.Default.Counter("dense.svd.capped")
+
+// svdMaxSweeps caps the Jacobi iteration; the recompression cores of an
+// N=4096 RBF factorization converge within about 20 sweeps.
+const svdMaxSweeps = 60
+
 // SVD computes the thin singular value decomposition of a using the
 // one-sided Jacobi method: orthogonalize the columns of A by plane
-// rotations; the resulting column norms are the singular values. The
-// method is slow for large matrices but extremely robust and accurate,
-// and in the TLR framework it is only ever applied to small
-// (rank+rank)² core matrices during recompression.
+// rotations; the resulting column norms are the singular values. In the
+// TLR framework it is only ever applied to small (rank+rank)² core
+// matrices during recompression.
+//
+// A is first scaled by a power of two so that max|aᵢⱼ| ∈ [1,2), which is
+// exact and keeps every column inner product clear of overflow and
+// underflow; S is scaled back at the end. A pair (p,q) is rotated unless
+// |apq| ≤ 1e-15·√app·√aqq, or either column is negligible: its squared
+// norm is at most u²·‖A‖²_F with u = 2⁻⁵³. Such a column lies below the
+// rounding error of A, so leaving it unrotated is a backward-stable
+// perturbation far under any truncation threshold, and it stops Jacobi
+// from rotating subnormal noise until the sweep cap.
 func SVD(a *Matrix) SVDResult {
 	ws := GetWorkspace()
 	defer ws.Release()
@@ -28,39 +48,64 @@ func SVD(a *Matrix) SVDResult {
 // SVDWS is SVD with all storage — including the returned factors —
 // taken from ws; the results are only valid until ws.Release.
 func SVDWS(a *Matrix, ws *Workspace) SVDResult {
+	res, _, converged := svdJacobi(a, ws)
+	if !converged {
+		svdCapped.Add(ws.Shard(), 1)
+	}
+	return res
+}
+
+// svdJacobi is SVDWS reporting the number of sweeps run and whether the
+// iteration converged before svdMaxSweeps.
+func svdJacobi(a *Matrix, ws *Workspace) (res SVDResult, sweeps int, converged bool) {
+	// Work on Aᵀ when A is wide and swap U and V at the end, so the
+	// working matrix is always m×n with m ≥ n.
+	trans := a.Rows < a.Cols
 	m, n := a.Rows, a.Cols
-	if m < n {
-		// Work on the transpose and swap U and V at the end.
-		at := ws.Matrix(n, m)
-		for i := 0; i < m; i++ {
-			row := a.Row(i)
-			for j, v := range row {
-				at.Data[j*at.Stride+i] = v
-			}
+	if trans {
+		m, n = n, m
+	}
+	// Column-major working copies: column j of U is uc[j*m:(j+1)*m] and
+	// column j of V is vc[j*n:(j+1)*n]. Row i of A is column i of Aᵀ.
+	var uc []float64
+	if trans {
+		uc = ws.Floats(m * n)
+		for i := 0; i < n; i++ {
+			copy(uc[i*m:(i+1)*m], a.Row(i))
 		}
-		res := SVDWS(at, ws)
-		return SVDResult{U: res.V, S: res.S, V: res.U}
+	} else {
+		uc = colMajor(a, ws)
 	}
-	u := ws.MatrixCopy(a)
-	v := ws.Matrix(n, n)
-	for i := 0; i < n; i++ {
-		v.Set(i, i, 1)
+	vc := ws.Floats(n * n)
+	for j := 0; j < n; j++ {
+		vc[j*n+j] = 1
 	}
-	const maxSweeps = 60
-	eps := 1e-15
-	for sweep := 0; sweep < maxSweeps; sweep++ {
+	scale := svdPrescale(uc)
+	var fro2 float64
+	for _, v := range uc {
+		fro2 += v * v
+	}
+	const u2 = 0x1p-106 // unit roundoff squared
+	negligible := u2 * fro2
+	const eps = 1e-15
+	for !converged && sweeps < svdMaxSweeps {
+		sweeps++
 		off := 0.0
 		for p := 0; p < n-1; p++ {
+			up := uc[p*m : (p+1)*m]
+			vp := vc[p*n : (p+1)*n]
 			for q := p + 1; q < n; q++ {
+				uq := uc[q*m : (q+1)*m]
+				uq = uq[:len(up)]
 				var app, aqq, apq float64
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					app += up * up
-					aqq += uq * uq
-					apq += up * uq
+				for i, x := range up {
+					y := uq[i]
+					app += x * x
+					aqq += y * y
+					apq += x * y
 				}
-				if math.Abs(apq) <= eps*math.Sqrt(app*aqq) || apq == 0 {
+				if app <= negligible || aqq <= negligible || apq == 0 ||
+					math.Abs(apq) <= eps*math.Sqrt(app)*math.Sqrt(aqq) {
 					continue
 				}
 				off += apq * apq
@@ -74,43 +119,32 @@ func SVDWS(a *Matrix, ws *Workspace) SVDResult {
 				}
 				c := 1 / math.Sqrt(1+t*t)
 				s := c * t
-				for i := 0; i < m; i++ {
-					up := u.At(i, p)
-					uq := u.At(i, q)
-					u.Set(i, p, c*up-s*uq)
-					u.Set(i, q, s*up+c*uq)
-				}
-				for i := 0; i < n; i++ {
-					vp := v.At(i, p)
-					vq := v.At(i, q)
-					v.Set(i, p, c*vp-s*vq)
-					v.Set(i, q, s*vp+c*vq)
-				}
+				rotate(up, uq, c, s)
+				rotate(vp, vc[q*n:(q+1)*n], c, s)
 			}
 		}
-		if off == 0 {
-			break
-		}
+		converged = off == 0
 	}
 	// Column norms are singular values; normalize U's columns.
 	s := ws.Floats(n)
-	for j := 0; j < n; j++ {
+	for j := range s {
+		col := uc[j*m : (j+1)*m]
 		var norm float64
-		for i := 0; i < m; i++ {
-			val := u.At(i, j)
-			norm += val * val
+		for _, v := range col {
+			norm += v * v
 		}
 		norm = math.Sqrt(norm)
 		s[j] = norm
 		if norm > 0 {
 			inv := 1 / norm
-			for i := 0; i < m; i++ {
-				u.Set(i, j, u.At(i, j)*inv)
+			for i := range col {
+				col[i] *= inv
 			}
 		}
 	}
-	// Sort singular values descending, permuting U and V columns alike.
-	// Insertion sort keeps this allocation-free; n is a small core size.
+	// Sort singular values descending, permuting U and V columns alike,
+	// and transpose both back to row-major. Insertion sort keeps this
+	// allocation-free; n is a small core size.
 	idx := ws.Ints(n)
 	for i := range idx {
 		idx[i] = i
@@ -124,15 +158,50 @@ func SVDWS(a *Matrix, ws *Workspace) SVDResult {
 	vs := ws.Matrix(n, n)
 	ss := ws.Floats(n)
 	for jNew, jOld := range idx {
-		ss[jNew] = s[jOld]
-		for i := 0; i < m; i++ {
-			us.Set(i, jNew, u.At(i, jOld))
+		ss[jNew] = math.Ldexp(s[jOld], -scale)
+		for i, v := range uc[jOld*m : (jOld+1)*m] {
+			us.Data[i*n+jNew] = v
 		}
-		for i := 0; i < n; i++ {
-			vs.Set(i, jNew, v.At(i, jOld))
+		for i, v := range vc[jOld*n : (jOld+1)*n] {
+			vs.Data[i*n+jNew] = v
 		}
 	}
-	return SVDResult{U: us, S: ss, V: vs}
+	if trans {
+		us, vs = vs, us
+	}
+	return SVDResult{U: us, S: ss, V: vs}, sweeps, converged
+}
+
+// rotate applies the plane rotation [x y] ← [c·x − s·y, s·x + c·y].
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for i, xi := range x {
+		yi := y[i]
+		x[i] = c*xi - s*yi
+		y[i] = s*xi + c*yi
+	}
+}
+
+// svdPrescale multiplies a by the power of two 2^e that brings max|aᵢ|
+// into [1,2) and returns e. The scaling is exact unless a spans more
+// than the exponent range, in which case only entries negligible next
+// to the largest lose bits. A zero or non-finite a is left alone.
+func svdPrescale(a []float64) int {
+	var amax float64
+	for _, v := range a {
+		amax = math.Max(amax, math.Abs(v))
+	}
+	if amax == 0 || math.IsInf(amax, 0) || math.IsNaN(amax) {
+		return 0
+	}
+	_, e := math.Frexp(amax) // amax = f·2^e, f ∈ [0.5,1)
+	e = 1 - e
+	if e != 0 {
+		for i, v := range a {
+			a[i] = math.Ldexp(v, e)
+		}
+	}
+	return e
 }
 
 // TruncationRank returns the smallest k such that the discarded tail of
