@@ -142,7 +142,7 @@ func main() {
 	}
 
 	if *pprofAddr != "" {
-		expvar.Publish("tlrchol.metrics", expvar.Func(func() any { return obs.Default.Map() }))
+		expvar.Publish("tlrchol.metrics", expvar.Func(func() any { return obs.Default.Snapshot().Map() }))
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)

@@ -1,9 +1,9 @@
 // Command tlrserve runs the TLR Cholesky solve service: an HTTP server
 // that factorizes kernel operators on demand, caches the factors by
 // problem fingerprint, coalesces concurrent solves into blocked
-// multi-RHS substitutions and sheds load with 429s when full. With
-// -shards N it runs a fleet: N shards behind a fingerprint router with
-// fleet-wide single-flight and hot-factor replication. With -loadgen
+// multi-RHS substitutions and sheds load with 429s when full. -shards N
+// puts N in-process shards behind its fingerprint router, with
+// server-wide single-flight and hot-factor replication. With -loadgen
 // it instead drives such a server (its own in-process one by default)
 // with an open-loop request stream — optionally multi-tenant, with
 // Zipf-distributed problem popularity and mixed factorize/solve
@@ -36,10 +36,10 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	cacheMB := flag.Int("cache-mb", 1024, "factor cache budget in MiB (per shard in fleet mode)")
+	cacheMB := flag.Int("cache-mb", 1024, "factor cache budget in MiB per shard")
 	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "RHS coalescing window (negative disables batching)")
 	maxBatch := flag.Int("max-batch", 64, "max columns per blocked solve")
-	maxInflight := flag.Int("max-inflight", 64, "admitted requests before 429 (per shard in fleet mode)")
+	maxInflight := flag.Int("max-inflight", 64, "admitted requests per shard before 429")
 	maxN := flag.Int("max-n", 16384, "largest accepted problem size")
 	workers := flag.Int("workers", 0, "factorization workers (0 = GOMAXPROCS)")
 	solveWorkers := flag.Int("solve-workers", 0, "planned-solve workers (0 = GOMAXPROCS)")
@@ -51,10 +51,10 @@ func main() {
 	flightSlow := flag.Int("flight-slow", 0, "slowest traces retained per endpoint (0 = default 32)")
 	accessLog := flag.String("access-log", "", "structured JSON access log: file path, or - for stdout (empty disables)")
 
-	shards := flag.Int("shards", 0, "run a fleet of N shards behind a fingerprint router (0 = single server)")
-	replicas := flag.Int("replicas", 1, "fleet: replicas per hot factor (0 disables replication)")
-	promoteAfter := flag.Int("promote-after", 8, "fleet: solves within the promote window that mark a factor hot")
-	promoteWindow := flag.Duration("promote-window", 10*time.Second, "fleet: popularity decay window")
+	shards := flag.Int("shards", 1, "solve shards behind the fingerprint router")
+	replicas := flag.Int("replicas", 1, "extra shards a hot factor is copied to (0 disables replication; at most shards-1)")
+	promoteAfter := flag.Int("promote-after", 8, "solves within the promote window that mark a factor hot")
+	promoteWindow := flag.Duration("promote-window", 10*time.Second, "popularity decay window")
 
 	loadgen := flag.Bool("loadgen", false, "drive a server instead of being one")
 	target := flag.String("target", "", "loadgen: base URL of the server (empty = start one in-process)")
@@ -71,6 +71,10 @@ func main() {
 	flag.Parse()
 
 	cfg := serve.Config{
+		Shards:           *shards,
+		Replicas:         *replicas,
+		PromoteAfter:     *promoteAfter,
+		PromoteWindow:    *promoteWindow,
 		CacheBudget:      int64(*cacheMB) << 20,
 		BatchWindow:      *batchWindow,
 		MaxBatchCols:     *maxBatch,
@@ -99,44 +103,28 @@ func main() {
 		cfg.AccessLog = f
 	}
 
-	// newHandler builds the service: a single Server, or a fleet of
-	// shards behind the fingerprint router.
-	newHandler := func() (http.Handler, string) {
-		if *shards > 0 {
-			fl := serve.NewFleet(serve.FleetConfig{
-				Shards:        *shards,
-				Replicas:      *replicas,
-				PromoteAfter:  *promoteAfter,
-				PromoteWindow: *promoteWindow,
-				Shard:         cfg,
-			})
-			return fl.Handler(), fmt.Sprintf("fleet of %d shards (%d replicas per hot factor)", fl.NumShards(), *replicas)
-		}
-		return serve.New(cfg).Handler(), "single server"
-	}
-
 	if *loadgen {
-		os.Exit(runLoadgen(newHandler, *target, loadgenConfig{
+		os.Exit(runLoadgen(cfg, *target, loadgenConfig{
 			n: *lgN, tile: *lgTile, tol: *lgTol, nrhs: *lgNRHS,
 			rate: *lgRate, duration: *lgDur, refine: *lgRefine,
 			problems: *lgProblems, zipfS: *lgZipf, facFrac: *lgFacFrac,
 		}))
 	}
-	os.Exit(runServer(newHandler, *addr, *drainTimeout))
+	os.Exit(runServer(cfg, *addr, *drainTimeout))
 }
 
-func runServer(newHandler func() (http.Handler, string), addr string, drainTimeout time.Duration) int {
-	expvar.Publish("tlrserve.metrics", expvar.Func(func() any { return obs.Default.Map() }))
-	h, mode := newHandler()
-	srv := &http.Server{Addr: addr, Handler: h}
+func runServer(cfg serve.Config, addr string, drainTimeout time.Duration) int {
+	svc := serve.New(cfg)
+	expvar.Publish("tlrserve.metrics", expvar.Func(func() any { return svc.Metrics().Map() }))
+	srv := &http.Server{Addr: addr, Handler: svc.Handler()}
 
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tlrserve: %v\n", err)
 		return 1
 	}
-	fmt.Printf("tlrserve listening on http://%s as %s (POST /v1/factorize, POST /v1/solve, GET /v1/stats, GET /metrics)\n",
-		l.Addr(), mode)
+	fmt.Printf("tlrserve listening on http://%s with %d shard(s) (POST /v1/factorize, POST /v1/solve, GET /v1/stats, GET /metrics)\n",
+		l.Addr(), svc.NumShards())
 
 	// SIGTERM/SIGINT drain: stop accepting, let in-flight requests
 	// (including batch leaders mid-window) complete, then exit.
@@ -178,21 +166,20 @@ type loadgenConfig struct {
 // runLoadgen fires an open-loop request stream (arrivals on a fixed
 // clock, independent of completions — the schedule a latency SLO is
 // measured against) and reports percentiles plus server-side cache,
-// batching and — in fleet mode — routing and replication
-// effectiveness.
-func runLoadgen(newHandler func() (http.Handler, string), target string, lg loadgenConfig) int {
+// batching, routing and replication effectiveness.
+func runLoadgen(cfg serve.Config, target string, lg loadgenConfig) int {
 	if target == "" {
-		h, mode := newHandler()
+		svc := serve.New(cfg)
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tlrserve: %v\n", err)
 			return 1
 		}
-		srv := &http.Server{Handler: h}
+		srv := &http.Server{Handler: svc.Handler()}
 		go srv.Serve(l)
 		defer srv.Close()
 		target = fmt.Sprintf("http://%s", l.Addr())
-		fmt.Printf("loadgen: started in-process %s on %s\n", mode, target)
+		fmt.Printf("loadgen: started in-process server with %d shard(s) on %s\n", svc.NumShards(), target)
 	}
 	if lg.problems < 1 {
 		lg.problems = 1
@@ -389,43 +376,28 @@ func runLoadgen(newHandler func() (http.Handler, string), target string, lg load
 		}
 	}
 
-	// Server-side accounting: the fleet report (per-shard skew,
-	// single-flight totals, replication) when the target is a fleet,
-	// the single-server cache report otherwise.
 	if resp, err := http.Get(target + "/v1/stats"); err == nil {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		var fst serve.FleetStatsResponse
-		if json.Unmarshal(body, &fst) == nil && len(fst.Shards) > 0 {
-			reportFleet(fst)
-		} else {
-			var st serve.StatsResponse
-			if json.Unmarshal(body, &st) == nil {
-				refs := st.Cache.Hits + st.Cache.Waits + st.Cache.Misses
-				if refs > 0 {
-					fmt.Printf("factor cache: %.1f%% hit rate (%d hits, %d singleflight waits, %d misses, %d factorization runs)\n",
-						100*float64(st.Cache.Hits+st.Cache.Waits)/float64(refs),
-						st.Cache.Hits, st.Cache.Waits, st.Cache.Misses, st.Totals["serve.factorize.runs"])
-				}
-				if st.Request.Count > 0 {
-					p := st.Request.P99
-					fmt.Printf("p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",
-						p.TraceID, p.E2EMS, p.QueueMS, p.FactorMS, p.BatchWaitMS, p.SubstMS, p.RefineMS, p.ResidMS, p.OtherMS)
-				}
-			}
+		var st serve.StatsResponse
+		if json.Unmarshal(body, &st) == nil {
+			report(st)
 		}
 	}
 	return 0
 }
 
-// reportFleet prints the fleet-side view of the run: fleet p99, the
-// per-shard load split (skew = hottest shard over the mean), and how
-// much traffic replication absorbed.
-func reportFleet(fst serve.FleetStatsResponse) {
-	fmt.Printf("fleet: %d shards, %d factorization runs fleet-wide (%d single-flight waits, %d cache hits)\n",
-		len(fst.Shards), fst.SingleFlight.FactorizeRuns, fst.SingleFlight.Waits, fst.SingleFlight.CacheHits)
+// report prints the server-side view of the run: factor-cache
+// effectiveness, the per-shard load split (skew = hottest shard over
+// the mean), routing and replication, and the p99 breakdown.
+func report(st serve.StatsResponse) {
+	if refs := st.Cache.Hits + st.Cache.Waits + st.Cache.Misses; refs > 0 {
+		fmt.Printf("factor cache: %.1f%% hit rate (%d hits, %d singleflight waits, %d misses, %d factorization runs)\n",
+			100*float64(st.Cache.Hits+st.Cache.Waits)/float64(refs),
+			st.Cache.Hits, st.Cache.Waits, st.Cache.Misses, st.SingleFlight.FactorizeRuns)
+	}
 	var sum, max uint64
-	for _, sh := range fst.Shards {
+	for _, sh := range st.Shards {
 		acc := sh.Admission.Accepted
 		sum += acc
 		if acc > max {
@@ -439,17 +411,17 @@ func reportFleet(fst serve.FleetStatsResponse) {
 			sh.ID, drain, acc, sh.Admission.Rejected, sh.Cache.Entries, sh.Cache.Evictions,
 			sh.Replica.Factors, sh.Replica.Hits, sh.FactorizeRuns)
 	}
-	if sum > 0 && len(fst.Shards) > 0 {
-		mean := float64(sum) / float64(len(fst.Shards))
+	if sum > 0 {
+		mean := float64(sum) / float64(len(st.Shards))
 		fmt.Printf("load skew: hottest shard %.2fx mean (%d of %d accepted)\n", float64(max)/mean, max, sum)
 	}
-	fmt.Printf("router: %d requests, %d fallback re-routes, %d fleet-wide rejections, %d replica serves\n",
-		fst.Router.Requests, fst.Router.Fallbacks, fst.Router.Rejected, fst.Router.ReplicaServes)
+	fmt.Printf("router: %d requests, %d fallback re-routes, %d rejections, %d replica serves\n",
+		st.Router.Requests, st.Router.Fallbacks, st.Router.Rejected, st.Router.ReplicaServes)
 	fmt.Printf("replication: %d promotions, %d drops, %d active replicas\n",
-		fst.Replication.Promotions, fst.Replication.Drops, fst.Replication.Active)
-	if fst.Request.Count > 0 {
-		p := fst.Request.P99
-		fmt.Printf("fleet p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",
+		st.Replication.Promotions, st.Replication.Drops, st.Replication.Active)
+	if st.Request.Count > 0 {
+		p := st.Request.P99
+		fmt.Printf("p99 breakdown (trace %s): e2e %.3fms = queue %.3f + factor %.3f + batch-wait %.3f + subst %.3f + refine %.3f + resid %.3f + other %.3f\n",
 			p.TraceID, p.E2EMS, p.QueueMS, p.FactorMS, p.BatchWaitMS, p.SubstMS, p.RefineMS, p.ResidMS, p.OtherMS)
 	}
 }

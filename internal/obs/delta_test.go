@@ -81,3 +81,33 @@ func TestSnapshotDelta(t *testing.T) {
 		t.Fatalf("reverse histogram delta must saturate: %+v", rev.Histograms[0])
 	}
 }
+
+// TestMerge covers the whole-server view of several registries:
+// same-named counters, gauges and histogram buckets add, names seen in
+// one part only pass through, and the result is sorted by name.
+func TestMerge(t *testing.T) {
+	a, b := NewRegistry(2), NewRegistry(2)
+	a.Counter("runs").Add(0, 2)
+	b.Counter("runs").Add(1, 3)
+	b.Counter("only.b").Add(0, 7)
+	a.Gauge("inflight").Set(4)
+	b.Gauge("inflight").Set(1)
+	a.Histogram("width", 1, 4).Observe(0, 3)
+	b.Histogram("width", 1, 4).Observe(0, 9)
+
+	m := Merge(a.Snapshot(), b.Snapshot())
+	got := m.CounterMap()
+	if got["runs"] != 5 || got["only.b"] != 7 || len(got) != 2 {
+		t.Fatalf("merged counters: %v", got)
+	}
+	if m.Counters[0].Name != "only.b" {
+		t.Fatalf("merged counters not sorted: %+v", m.Counters)
+	}
+	if len(m.Gauges) != 1 || m.Gauges[0].Value != 5 || m.Gauges[0].Max != 5 {
+		t.Fatalf("merged gauges: %+v", m.Gauges)
+	}
+	h := m.Histograms[0]
+	if h.Count != 2 || h.Sum != 12 || h.Counts[1] != 1 || h.Counts[2] != 1 {
+		t.Fatalf("merged histogram: %+v", h)
+	}
+}

@@ -244,6 +244,64 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 	return s
 }
 
+// Merge sums snapshots by metric name: the whole-process view of a
+// server whose parts record into registries of their own. Counters,
+// gauge values and histogram buckets add. A merged gauge's Max is the
+// sum of the parts' high-water marks, an upper bound on the true
+// high-water mark of the sum. A histogram whose bucket count differs
+// from the first one seen under its name is left out of the sum.
+func Merge(snaps ...MetricsSnapshot) MetricsSnapshot {
+	counters := map[string]uint64{}
+	gauges := map[string]GaugeValue{}
+	hists := map[string]HistSnapshot{}
+	for _, s := range snaps {
+		for _, c := range s.Counters {
+			counters[c.Name] += c.Value
+		}
+		for _, g := range s.Gauges {
+			m := gauges[g.Name]
+			gauges[g.Name] = GaugeValue{Name: g.Name, Value: m.Value + g.Value, Max: m.Max + g.Max}
+		}
+		for _, h := range s.Histograms {
+			m, ok := hists[h.Name]
+			if !ok {
+				m = HistSnapshot{Name: h.Name, Bounds: h.Bounds, Counts: make([]uint64, len(h.Counts))}
+			} else if len(m.Counts) != len(h.Counts) {
+				continue
+			}
+			for b, c := range h.Counts {
+				m.Counts[b] += c
+			}
+			m.Count += h.Count
+			m.Sum += h.Sum
+			hists[h.Name] = m
+		}
+	}
+	var out MetricsSnapshot
+	for name, v := range counters {
+		out.Counters = append(out.Counters, CounterValue{Name: name, Value: v})
+	}
+	for _, g := range gauges {
+		out.Gauges = append(out.Gauges, g)
+	}
+	for _, h := range hists {
+		out.Histograms = append(out.Histograms, h)
+	}
+	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
+	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
+	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
+	return out
+}
+
+// CounterMap returns the snapshot's counters keyed by name.
+func (s MetricsSnapshot) CounterMap() map[string]uint64 {
+	out := make(map[string]uint64, len(s.Counters))
+	for _, c := range s.Counters {
+		out[c.Name] = c.Value
+	}
+	return out
+}
+
 // Delta returns the per-metric difference s − prev: the window view a
 // long-lived process needs. Counters and histograms accumulate forever
 // across jobs; taking a snapshot at each reporting boundary and
@@ -298,8 +356,7 @@ func (s MetricsSnapshot) Delta(prev MetricsSnapshot) MetricsSnapshot {
 }
 
 // Map renders the snapshot as plain values for expvar publication.
-func (r *Registry) Map() map[string]any {
-	s := r.Snapshot()
+func (s MetricsSnapshot) Map() map[string]any {
 	out := make(map[string]any, len(s.Counters)+len(s.Gauges)+len(s.Histograms))
 	for _, c := range s.Counters {
 		out[c.Name] = c.Value
@@ -318,7 +375,7 @@ func (r *Registry) Map() map[string]any {
 func (s MetricsSnapshot) String() string { return s.StringPrefix("") }
 
 // StringPrefix renders the snapshot with every metric name prefixed —
-// how a fleet merges per-shard registries into one scrape
+// how a sharded server lists each shard's registry in one scrape
 // ("shard0.serve.cache.hits ...") without name collisions.
 func (s MetricsSnapshot) StringPrefix(prefix string) string {
 	var sb strings.Builder

@@ -85,7 +85,7 @@ func TestSnapshotDeterministicAndRendered(t *testing.T) {
 			t.Fatalf("dump missing %q:\n%s", want, text)
 		}
 	}
-	m := reg.Map()
+	m := reg.Snapshot().Map()
 	if m["a.count"] != uint64(1) {
 		t.Fatalf("expvar map wrong: %+v", m)
 	}

@@ -27,6 +27,15 @@ type AdmissionStats struct {
 	Rejected    uint64 `json:"rejected"`
 }
 
+func (a AdmissionStats) plus(b AdmissionStats) AdmissionStats {
+	return AdmissionStats{
+		MaxInflight: a.MaxInflight + b.MaxInflight,
+		Inflight:    a.Inflight + b.Inflight,
+		Accepted:    a.Accepted + b.Accepted,
+		Rejected:    a.Rejected + b.Rejected,
+	}
+}
+
 // NewAdmission returns an admission controller with max concurrent
 // slots (≤ 0 means 64).
 func NewAdmission(max int, reg *obs.Registry) *Admission {

@@ -130,6 +130,18 @@ type CacheStats struct {
 	Evictions uint64 `json:"evictions"`
 }
 
+func (a CacheStats) plus(b CacheStats) CacheStats {
+	return CacheStats{
+		Entries:   a.Entries + b.Entries,
+		Bytes:     a.Bytes + b.Bytes,
+		Budget:    a.Budget + b.Budget,
+		Hits:      a.Hits + b.Hits,
+		Misses:    a.Misses + b.Misses,
+		Waits:     a.Waits + b.Waits,
+		Evictions: a.Evictions + b.Evictions,
+	}
+}
+
 // FactorCache maps problem fingerprints to factorizations with
 // single-flight build deduplication and LRU eviction under a byte
 // budget. The single-flight property is the service's core economy:
@@ -145,7 +157,7 @@ type FactorCache struct {
 	entries map[string]*cacheEntry
 	lru     *list.List // of fingerprint strings, front = most recent
 
-	// onEvict, when set (fleet mode), is called outside the cache lock
+	// onEvict, when set (by the Server), is called outside the cache lock
 	// for every evicted fingerprint — the hook that keeps replica
 	// eviction owner-coordinated.
 	onEvict func(fp string, f *Factor)
@@ -291,7 +303,7 @@ func (c *FactorCache) evictLocked() []evictedFactor {
 }
 
 // finishEvictions completes evictions outside the cache lock: the
-// fleet hook drops replicas first (owner-coordinated eviction), then
+// onEvict hook drops replicas first (owner-coordinated eviction), then
 // the cache's own reference goes away. A factor still pinned by an
 // in-flight solve survives until that solve releases it.
 func (c *FactorCache) finishEvictions(evs []evictedFactor) {

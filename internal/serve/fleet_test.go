@@ -3,44 +3,35 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"tlrchol/internal/obs"
 )
 
-func newTestFleet(t *testing.T, mut func(*FleetConfig)) (*Fleet, *httptest.Server) {
+// newTestFleet is newTestServer at three shards.
+func newTestFleet(t *testing.T, mut func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
-	cfg := FleetConfig{
-		Shards:  3,
-		Metrics: obs.NewRegistry(4),
-		Shard: Config{
-			BatchWindow:  150 * time.Millisecond,
-			MaxBatchCols: 16,
-			Workers:      2,
-		},
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	fl := NewFleet(cfg)
-	ts := httptest.NewServer(fl.Handler())
-	t.Cleanup(ts.Close)
-	return fl, ts
+	return newTestServer(t, func(c *Config) {
+		c.Shards = 3
+		if mut != nil {
+			mut(c)
+		}
+	})
 }
 
 // fleetFP computes the routing fingerprint for a spec the way the
 // router does.
-func fleetFP(t *testing.T, fl *Fleet, sp ProblemSpec) string {
+func fleetFP(t *testing.T, fl *Server, sp ProblemSpec) string {
 	t.Helper()
-	fp, err := fl.routeFP(&sp)
+	_, fp, err := fl.routeSpec(&sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,13 +40,13 @@ func fleetFP(t *testing.T, fl *Fleet, sp ProblemSpec) string {
 
 // TestFleetKeystone is the fleet acceptance scenario: 16 concurrent
 // solves for one new fingerprint through a 3-shard fleet trigger
-// exactly one factorization fleet-wide, return solutions bitwise
-// identical to a single standalone server, and — after the owner shard
+// exactly one factorization server-wide, return solutions bitwise
+// identical to a one-shard server, and — after the owner shard
 // drains — re-route to a new owner. Runs under -race via
 // scripts/check.sh.
 func TestFleetKeystone(t *testing.T) {
-	fl, ts := newTestFleet(t, func(c *FleetConfig) {
-		c.Replicas = -1 // no replication: drain must force a re-factorization
+	fl, ts := newTestFleet(t, func(c *Config) {
+		c.Replicas = 0 // no replication: drain must force a re-factorization
 	})
 	const n, k = 256, 16
 	spec := ProblemSpec{N: n, Tile: 64, Tol: 1e-7}
@@ -114,7 +105,7 @@ func TestFleetKeystone(t *testing.T) {
 			k, st.SingleFlight.FactorizeRuns)
 	}
 
-	// Bitwise parity with a standalone server: the factorization's
+	// Bitwise parity with a one-shard server: the factorization's
 	// write chains are schedule-deterministic, so an independent
 	// single-shard build must produce identical solutions.
 	_, solo := newTestServer(t, nil)
@@ -135,7 +126,7 @@ func TestFleetKeystone(t *testing.T) {
 			got := results[j].resp.Solution[0][i]
 			want := sr.Solution[0][i]
 			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("request %d row %d: fleet %x vs standalone %x",
+				t.Fatalf("request %d row %d: 3 shards %x vs 1 shard %x",
 					j, i, math.Float64bits(got), math.Float64bits(want))
 			}
 		}
@@ -189,7 +180,7 @@ func getURL(t *testing.T, url string) (*http.Response, []byte) {
 // is copied to replica shards, replica holders serve solves locally,
 // and the owner's eviction tears every replica down.
 func TestFleetReplication(t *testing.T) {
-	fl, ts := newTestFleet(t, func(c *FleetConfig) {
+	fl, ts := newTestFleet(t, func(c *Config) {
 		c.Replicas = 1
 		c.PromoteAfter = 3
 		c.PromoteWindow = time.Minute
@@ -265,13 +256,13 @@ func TestFleetReplication(t *testing.T) {
 }
 
 // TestFleetRetryAfterOn429: when the owner and every replica are
-// saturated, the fleet's 429 carries a computed Retry-After hint and
+// saturated, the server's 429 carries a computed Retry-After hint and
 // the rejection is counted; factorize requests (owner-only) reject the
 // same way.
 func TestFleetRetryAfterOn429(t *testing.T) {
-	fl, ts := newTestFleet(t, func(c *FleetConfig) {
-		c.Replicas = -1
-		c.Shard.MaxInflight = 1
+	fl, ts := newTestFleet(t, func(c *Config) {
+		c.Replicas = 0
+		c.MaxInflight = 1
 	})
 	spec := ProblemSpec{N: 192, Tile: 64, Tol: 1e-7}
 	if resp, body := postJSON(t, ts.URL+"/v1/factorize", FactorizeRequest{Problem: spec}); resp.StatusCode != http.StatusOK {
@@ -292,5 +283,85 @@ func TestFleetRetryAfterOn429(t *testing.T) {
 	}
 	if st := fl.Stats(); st.Router.Rejected == 0 {
 		t.Fatalf("fleet-wide rejection must be counted: %+v", st.Router)
+	}
+}
+
+// TestFleetReplicasZero: a 3-shard server configured the way tlrserve
+// passes -replicas 0 promotes nothing, however hot a fingerprint runs.
+func TestFleetReplicasZero(t *testing.T) {
+	fl, ts := newTestFleet(t, func(c *Config) {
+		c.Replicas = 0
+		c.PromoteAfter = 2
+		c.PromoteWindow = time.Minute
+	})
+	spec := ProblemSpec{N: 192, Tile: 64, Tol: 1e-7}
+	for i := 0; i < 6; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Problem: &spec, NRHS: 1, RHSSeed: int64(i + 1)}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve %d: %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	st := fl.Stats()
+	if st.Replication.Promotions != 0 || st.Replication.Active != 0 {
+		t.Fatalf("replicas 0 must promote nothing: %+v", st.Replication)
+	}
+	if st.Replica.Factors != 0 {
+		t.Fatalf("no shard may hold a replica: %+v", st.Replica)
+	}
+}
+
+// scrapeAll parses every "name value" counter line of /metrics.
+func scrapeAll(t *testing.T, baseURL string) map[string]uint64 {
+	t.Helper()
+	_, body := getURL(t, baseURL+"/metrics")
+	out := map[string]uint64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			continue
+		}
+		if v, err := strconv.ParseUint(f[1], 10, 64); err == nil {
+			out[f[0]] = v
+		}
+	}
+	return out
+}
+
+// TestFleetMetricsWholeServer: unprefixed /metrics names describe the
+// whole server at any shard count. A 3-shard server on the default
+// front-end registry reports the process-wide solve counters, and its
+// unprefixed serve.factorize.runs is the sum of the shardN. lines;
+// /v1/stats totals carry the same names.
+func TestFleetMetricsWholeServer(t *testing.T) {
+	fl, ts := newTestFleet(t, func(c *Config) { c.Metrics = nil })
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := ProblemSpec{N: 192, Tile: 64, Tol: 1e-7, Seed: seed}
+		if resp, body := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Problem: &spec, NRHS: 1}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve seed %d: %d: %s", seed, resp.StatusCode, body)
+		}
+	}
+	m := scrapeAll(t, ts.URL)
+	if m["solve.plan.build"] < 1 {
+		t.Fatalf("/metrics lacks solve.plan.build >= 1: %v", m)
+	}
+	if _, ok := m["solve.run.planned"]; !ok {
+		t.Fatalf("/metrics lacks solve.run.planned: %v", m)
+	}
+	var sum uint64
+	for i := 0; i < fl.NumShards(); i++ {
+		sum += m[fmt.Sprintf("shard%d.serve.factorize.runs", i)]
+	}
+	if runs := m["serve.factorize.runs"]; runs != 3 || runs != sum {
+		t.Fatalf("unprefixed serve.factorize.runs %d, shard lines sum to %d; want both 3", runs, sum)
+	}
+	st := fl.Stats()
+	if st.Totals["solve.plan.build"] < 1 {
+		t.Fatalf("/v1/stats totals lack solve.plan.build >= 1: %v", st.Totals)
+	}
+	if _, ok := st.Totals["solve.run.planned"]; !ok {
+		t.Fatalf("/v1/stats totals lack solve.run.planned: %v", st.Totals)
+	}
+	if st.Totals["serve.factorize.runs"] != 3 || st.SingleFlight.FactorizeRuns != 3 {
+		t.Fatalf("stats: totals %d runs, single_flight %d runs; want 3",
+			st.Totals["serve.factorize.runs"], st.SingleFlight.FactorizeRuns)
 	}
 }

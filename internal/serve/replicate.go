@@ -12,7 +12,7 @@ import (
 // every fingerprint exactly one owner shard, which is correct for
 // single-flight economy but turns a popular problem into a hot spot:
 // all its solves land on one shard while the rest idle. The replicator
-// watches per-fingerprint solve rates at the fleet router and, past a
+// watches per-fingerprint solve rates at the router and, past a
 // threshold, copies the factor's in-memory handle onto the next K
 // shards of the fingerprint's rendezvous order. Replica holders serve
 // solves entirely locally (no owner hop); the router spreads a hot
@@ -20,7 +20,7 @@ import (
 //
 // Replication is of handles, not bytes: shards share one process, so a
 // "replica" is an additional reference to the owner's Factor — the
-// exact economics of a multi-node fleet (replicas pin memory, eviction
+// exact economics of a multi-node deployment (replicas pin memory, eviction
 // must be coordinated) with none of the serialization. Eviction stays
 // owner-coordinated: when the owner's cache evicts a fingerprint, its
 // onEvict hook drops every replica before the owner's reference goes
@@ -31,6 +31,10 @@ import (
 type ReplicaStats struct {
 	Factors int    `json:"factors"`
 	Hits    uint64 `json:"hits"`
+}
+
+func (a ReplicaStats) plus(b ReplicaStats) ReplicaStats {
+	return ReplicaStats{Factors: a.Factors + b.Factors, Hits: a.Hits + b.Hits}
 }
 
 // replicaStore holds the factors one shard serves as a non-owner.
@@ -109,12 +113,12 @@ type hotness struct {
 	since time.Time
 }
 
-// replicator tracks fingerprint popularity at the fleet router and
+// replicator tracks fingerprint popularity at the router and
 // promotes hot factors to replicas. All decisions happen under one
 // mutex ordered strictly after any shard cache's (the eviction hook
 // runs outside the cache lock).
 type replicator struct {
-	fleet     *Fleet
+	srv       *Server
 	k         int           // replicas per hot fingerprint
 	threshold int           // solves within window that trigger promotion
 	window    time.Duration // popularity decay window
@@ -128,17 +132,17 @@ type replicator struct {
 	errs       *obs.Counter
 }
 
-func newReplicator(fl *Fleet, k, threshold int, window time.Duration, reg *obs.Registry) *replicator {
+func newReplicator(s *Server, k, threshold int, window time.Duration, reg *obs.Registry) *replicator {
 	return &replicator{
-		fleet:      fl,
+		srv:        s,
 		k:          k,
 		threshold:  threshold,
 		window:     window,
 		hot:        map[string]*hotness{},
 		holders:    map[string][]int{},
-		promotions: reg.Counter("fleet.replicate.promotions"),
-		drops:      reg.Counter("fleet.replicate.drops"),
-		errs:       reg.Counter("fleet.replicate.errors"),
+		promotions: reg.Counter("serve.replicate.promotions"),
+		drops:      reg.Counter("serve.replicate.drops"),
+		errs:       reg.Counter("serve.replicate.errors"),
 	}
 }
 
@@ -169,8 +173,8 @@ func (r *replicator) noteSolve(fp string, owner int) {
 // holding the replica are skipped, and holder bookkeeping dedupes under
 // the replicator lock.
 func (r *replicator) promote(fp string, owner int) {
-	fl := r.fleet
-	f, ok := fl.shards[owner].cache.Lookup(fp)
+	s := r.srv
+	f, ok := s.shards[owner].cache.Lookup(fp)
 	if !ok {
 		// Evicted between the solve and the promotion — nothing to copy.
 		r.errs.Add(0, 1)
@@ -179,8 +183,8 @@ func (r *replicator) promote(fp string, owner int) {
 	defer f.Release()
 
 	targets := make([]int, 0, r.k)
-	for _, id := range fl.rendezvous(fp) {
-		if id == owner || fl.isDraining(id) {
+	for _, id := range s.rendezvous(fp) {
+		if id == owner || s.shards[id].draining.Load() {
 			continue
 		}
 		targets = append(targets, id)
@@ -205,7 +209,7 @@ func (r *replicator) promote(fp string, owner int) {
 	r.mu.Unlock()
 
 	for _, id := range fresh {
-		fl.shards[id].replicas.install(fp, f)
+		s.shards[id].replicas.install(fp, f)
 		r.promotions.Add(0, 1)
 	}
 }
@@ -220,7 +224,7 @@ func (r *replicator) dropped(fp string) {
 	delete(r.hot, fp)
 	r.mu.Unlock()
 	for _, id := range holders {
-		r.fleet.shards[id].replicas.remove(fp)
+		r.srv.shards[id].replicas.remove(fp)
 		r.drops.Add(0, 1)
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Fingerprint routing. Every problem fingerprint has a deterministic
 // preference order over shards — rendezvous (highest-random-weight)
 // hashing: weight(fp, shard) = FNV-64a(fp ‖ shard), shards sorted by
-// descending weight. The properties the fleet leans on:
+// descending weight. The properties the router leans on:
 //
 //   - The owner (first non-draining shard in the order) is a pure
 //     function of the fingerprint and the drain set, so every router
@@ -25,7 +25,7 @@ func shardWeight(fp string, shard int) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(fp))
 	// Shard ids are small; one byte keeps the hash input canonical for
-	// any realistic fleet width.
+	// any realistic shard count.
 	h.Write([]byte{byte(shard)})
 	return h.Sum64()
 }
@@ -35,13 +35,13 @@ func shardWeight(fp string, shard int) uint64 {
 // shards (callers filter by drain state as needed). Ties (effectively
 // impossible with a 64-bit hash) break toward the lower id for
 // determinism.
-func (fl *Fleet) rendezvous(fp string) []int {
+func (s *Server) rendezvous(fp string) []int {
 	type sw struct {
 		id int
 		w  uint64
 	}
-	order := make([]sw, len(fl.shards))
-	for i := range fl.shards {
+	order := make([]sw, len(s.shards))
+	for i := range s.shards {
 		order[i] = sw{id: i, w: shardWeight(fp, i)}
 	}
 	sort.Slice(order, func(a, b int) bool {
@@ -59,11 +59,11 @@ func (fl *Fleet) rendezvous(fp string) []int {
 
 // owner returns fp's owner: the first non-draining shard in rendezvous
 // order. When every shard is draining (shutdown), the first shard of
-// the order still serves, so the fleet never routes into a void.
-func (fl *Fleet) owner(fp string) int {
-	ids := fl.rendezvous(fp)
+// the order still serves, so the router never routes into a void.
+func (s *Server) owner(fp string) int {
+	ids := s.rendezvous(fp)
 	for _, id := range ids {
-		if !fl.isDraining(id) {
+		if !s.shards[id].draining.Load() {
 			return id
 		}
 	}
@@ -71,17 +71,16 @@ func (fl *Fleet) owner(fp string) int {
 }
 
 // solveCandidates returns the shards that can serve a solve for fp,
-// best first: the owner, then replica holders, ordered by their
+// best first: its owner, then replica holders, ordered by their
 // deterministic Retry-After estimate (an un-jittered proxy for queue
 // depth) so the router prefers the least-loaded copy when the primary
 // is saturated. Draining shards are skipped unless nothing else
 // remains.
-func (fl *Fleet) solveCandidates(fp string) []int {
-	owner := fl.owner(fp)
+func (s *Server) solveCandidates(fp string, owner int) []int {
 	seen := map[int]bool{owner: true}
 	cands := []int{owner}
-	for _, id := range fl.repl.replicaHolders(fp) {
-		if !seen[id] && !fl.isDraining(id) {
+	for _, id := range s.repl.replicaHolders(fp) {
+		if !seen[id] && !s.shards[id].draining.Load() {
 			seen[id] = true
 			cands = append(cands, id)
 		}
@@ -91,7 +90,7 @@ func (fl *Fleet) solveCandidates(fp string) []int {
 		// an equally loaded replica, preserving LRU warmth on the copy
 		// that actually owns the entry.
 		sort.SliceStable(cands, func(a, b int) bool {
-			return fl.shards[cands[a]].retryAfterEstimate() < fl.shards[cands[b]].retryAfterEstimate()
+			return s.retryAfterEstimate(s.shards[cands[a]]) < s.retryAfterEstimate(s.shards[cands[b]])
 		})
 	}
 	return cands

@@ -347,7 +347,7 @@ func TestServerSolvePlan(t *testing.T) {
 	}
 	// The cached entry must actually carry the plan, and its bytes must
 	// be charged to the cache budget.
-	f, ok := s.cache.Lookup(fr.Fingerprint)
+	f, ok := s.shards[0].cache.Lookup(fr.Fingerprint)
 	if !ok || f.Plan == nil {
 		t.Fatalf("cached factor is missing its solve plan")
 	}

@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -23,11 +22,9 @@ import (
 // /v1/trace/<id> long after they completed.
 //
 // The tracer bundles that per-process state — id minting, flight
-// retention, the end-to-end breakdown ring, the access log — so the
-// single-process Server and the fleet router share one implementation:
-// in fleet mode the router owns the tracer (one trace id covers the
-// router hop and the shard's work), and the per-shard Servers record
-// into the trace they find in the context.
+// retention, the end-to-end breakdown ring, the access log. The Server
+// front end owns it, so one trace id covers the router hop and the
+// shard's work: shards record into the trace they find in the context.
 
 // traceIDs mints process-unique request ids: a random per-process
 // prefix (so ids from different server lives never collide in logs)
@@ -87,19 +84,18 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	return w.ResponseWriter.Write(p)
 }
 
-// tracer is the request-tracing front end shared by Server and Fleet.
+// tracer is the Server's request-tracing state.
 type tracer struct {
 	ids        *traceIDs
 	spanCap    int // 0 disables span detail
 	flight     *obs.FlightRecorder
 	reqLatency *window[BreakdownMS]
-	errs       *obs.Counter
 	accessLog  io.Writer
 	accessMu   sync.Mutex
 }
 
 // newTracer builds the tracing front end from the service config.
-func newTracer(cfg *Config, errs *obs.Counter) *tracer {
+func newTracer(cfg *Config) *tracer {
 	spanCap := cfg.TraceSpanCap
 	if cfg.DisableTracing {
 		spanCap = 0
@@ -109,7 +105,6 @@ func newTracer(cfg *Config, errs *obs.Counter) *tracer {
 		spanCap:    spanCap,
 		flight:     obs.NewFlightRecorder(cfg.FlightSlow, cfg.FlightRecent, cfg.FlightErrors),
 		reqLatency: newWindow[BreakdownMS](),
-		errs:       errs,
 		accessLog:  cfg.AccessLog,
 	}
 }
@@ -257,12 +252,12 @@ func (t *tracer) accessLogLine(rt *obs.ReqTrace, bd BreakdownMS) {
 // handleTrace exports one retained trace as Chrome trace-event JSON
 // (open in ui.perfetto.dev or chrome://tracing). 404 means the id was
 // never issued or has aged out of every retention policy.
-func (t *tracer) handleTrace(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	rt, ok := t.flight.Lookup(id)
+	rt, ok := s.tr.flight.Lookup(id)
 	if !ok {
-		failJSON(w, t.errs, http.StatusNotFound,
-			"no retained trace %q (it may have aged out; only the slowest and errored requests are kept)", id)
+		s.fail(w, apiErrorf(http.StatusNotFound,
+			"no retained trace %q (it may have aged out; only the slowest and errored requests are kept)", id))
 		return
 	}
 	bd := breakdownOf(rt)
@@ -282,7 +277,7 @@ func (t *tracer) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := obs.WriteChromeTrace(w, rt.Events(), meta); err != nil {
-		t.errs.Add(0, 1)
+		s.httpErrors.Add(0, 1)
 	}
 }
 
@@ -293,10 +288,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// failJSON writes the uniform error envelope and counts the error.
-func failJSON(w http.ResponseWriter, errs *obs.Counter, code int, format string, args ...any) {
-	errs.Add(0, 1)
-	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }

@@ -152,14 +152,15 @@ grep -q 'valid Chrome/Perfetto trace' "$serve_log" || {
     echo "check.sh: loadgen did not validate the slowest trace" >&2; cat "$serve_log" >&2; exit 1; }
 
 echo "== fleet gate"
-# A 3-shard fleet on a random port must run exactly one factorization
-# fleet-wide for 8 concurrent solves against the same problem (owner
-# routing + per-shard single-flight, asserted by summing the
-# shardN.serve.factorize.runs counters from the merged /metrics
-# scrape), and /v1/stats must answer with the fleet view (per-shard
-# rows + the single-flight rollup). A skewed multi-tenant loadgen
-# burst through a 3-shard fleet must then report per-shard load skew
-# and fleet-wide router/replication counters.
+# A 3-shard server on a random port must run exactly one factorization
+# server-wide for 8 concurrent solves against the same problem (owner
+# routing + per-shard single-flight). /metrics must say so twice: the
+# shardN.serve.factorize.runs lines sum to 1, and the unprefixed
+# whole-server serve.factorize.runs reads 1 next to the process-wide
+# solve.plan.build. /v1/stats must carry the per-shard rows and the
+# single-flight rollup. A skewed multi-tenant loadgen burst through 3
+# shards must then report per-shard load skew and the router and
+# replication counters.
 : > "$serve_log"
 /tmp/tlrserve-check -addr 127.0.0.1:0 -shards 3 -batch-window 50ms > "$serve_log" 2>&1 &
 serve_pid=$!
@@ -181,6 +182,13 @@ done
 fleet_runs="$(curl -sf "$base/metrics" | awk '$1 ~ /^shard[0-9]+\.serve\.factorize\.runs$/ {s += $2} END {print s+0}')"
 [ "$fleet_runs" = "1" ] || {
     echo "check.sh: expected exactly 1 factorization fleet-wide for 8 concurrent solves, got '$fleet_runs'" >&2; exit 1; }
+fleet_metrics="$(curl -sf "$base/metrics")"
+whole_runs="$(echo "$fleet_metrics" | awk '$1 == "serve.factorize.runs" {print $2}')"
+[ "$whole_runs" = "1" ] || {
+    echo "check.sh: expected unprefixed serve.factorize.runs 1 on 3 shards, got '$whole_runs'" >&2; exit 1; }
+fleet_plans="$(echo "$fleet_metrics" | awk '$1 == "solve.plan.build" {print $2}')"
+[ -n "$fleet_plans" ] && [ "$fleet_plans" -ge 1 ] || {
+    echo "check.sh: expected >=1 solve.plan.build on 3 shards, got '$fleet_plans'" >&2; exit 1; }
 fleet_stats="$(curl -sf "$base/v1/stats")"
 echo "$fleet_stats" | grep -q '"single_flight"' || {
     echo "check.sh: fleet /v1/stats lacks the single_flight rollup" >&2; exit 1; }
